@@ -1,0 +1,11 @@
+"""Make the benchmark modules and the package importable for these tests.
+
+    python3 -m pytest perfbench/tests -q
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(BENCH))
+sys.path.insert(0, str(BENCH.parent / "src"))
