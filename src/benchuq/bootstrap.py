@@ -126,11 +126,51 @@ def draw_replicate(table: EvalTable, replicate_index: int, seed: int) -> np.ndar
     return resampled / sizes[None, :]
 
 
-def _available_bytes() -> int | None:
+_MEMINFO = Path("/proc/meminfo")
+_CGROUP_MEMORY_MAX = Path("/sys/fs/cgroup/memory.max")
+
+
+def _meminfo_available() -> int | None:
+    """``MemAvailable`` in bytes: free memory plus what the kernel can reclaim."""
+    try:
+        with _MEMINFO.open() as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _cgroup_limit() -> int | None:
+    """The cgroup v2 ``memory.max`` in bytes, or None when unset or unreadable."""
+    try:
+        text = _CGROUP_MEMORY_MAX.read_text().strip()
+        return None if text == "max" else int(text)
+    except (OSError, ValueError):
+        return None
+
+
+def _free_bytes() -> int | None:
     try:
         return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (ValueError, OSError, AttributeError):
         return None
+
+
+def _available_bytes() -> int | None:
+    """Memory a new allocation can take, or None when nothing can be read.
+
+    Reads ``MemAvailable``, falling back to free physical pages, and caps
+    the result by the cgroup memory limit when one is set.
+    """
+    available = _meminfo_available()
+    if available is None:
+        available = _free_bytes()
+    limit = _cgroup_limit()
+    if limit is None or available is None:
+        return available
+    return min(available, limit)
 
 
 def run_bootstrap(

@@ -115,14 +115,17 @@ def normalize_scores(values: np.ndarray, bounds: NormalizationBounds) -> np.ndar
             f"trailing axis has {values.shape[-1] if values.ndim else 0} "
             f"entries, expected {len(bounds.tasks)} tasks"
         )
-    out = (values - bounds.low) / (bounds.high - bounds.low)
+    # One output array and no second values-sized temporary: on a whole
+    # replicate store the temporaries set the command's peak memory.
+    out = values - bounds.low
+    out /= bounds.high - bounds.low
     n_outside = int(np.count_nonzero((out < 0.0) | (out > 1.0)))
     if n_outside:
         warnings.warn(
             f"{n_outside} normalized values fell outside [0, 1] and were clamped",
             stacklevel=2,
         )
-        out = np.clip(out, 0.0, 1.0)
+        np.clip(out, 0.0, 1.0, out=out)
     return out
 
 

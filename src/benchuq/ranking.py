@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import rng as _rng
 from .bootstrap import DISPLAY_LEVEL, IntervalEstimate, ReplicateStore, percentile_interval
@@ -40,6 +39,12 @@ __all__ = [
     "average_rank",
     "rank_intervals",
 ]
+
+# rank_intervals ranks this many (sample, model, task) cells at a time.  It
+# bounds the rank temporaries at any sample count, and at 512 KiB each they
+# stay in cache: on a 64 x 57 table, blocks of 2**18 cells ranked at half
+# the speed.
+_BLOCK_CELLS = 1 << 16
 
 
 class RankScheme(str, enum.Enum):
@@ -60,15 +65,82 @@ class RankSummary:
     interval: IntervalEstimate
 
 
-def _descending_ranks(values: np.ndarray, axis: int = 0) -> np.ndarray:
-    # Fractional ranks with 1 = largest value.
-    return rankdata(-values, method="average", axis=axis)
+def _descending_ranks(values: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Fractional ranks along ``axis`` with 1 = largest value.
+
+    Tied values share the mean of their positions.  A slice holding a NaN
+    ranks NaN throughout.  This matches ``scipy.stats.rankdata(-values,
+    method="average", axis=axis)`` exactly.
+    """
+    x = np.negative(np.moveaxis(np.asarray(values, dtype=float), axis, -1), order="C")
+    if x.size == 0:
+        return np.moveaxis(x, -1, axis)
+    n = x.shape[-1]
+    order = np.argsort(x, axis=-1)
+    ordered = np.sort(x, axis=-1)
+    # Runs of equal values in a sorted slice are tie groups.  A group that
+    # starts at flat position p and holds c values has the mean rank
+    # p + (c + 1) / 2, less the flat position where its slice starts.
+    flat = ordered.ravel()
+    first = np.empty(flat.size, dtype=bool)
+    first[1:] = flat[1:] != flat[:-1]
+    first[::n] = True
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=flat.size)
+    mean_rank = np.repeat(starts + (counts + 1) / 2.0, counts).reshape(x.shape)
+    mean_rank -= np.arange(0, x.size, n).reshape(*x.shape[:-1], 1)
+    mean_rank[np.isnan(ordered[..., -1])] = np.nan  # NaN sorts last
+    ranks = np.empty_like(mean_rank)
+    np.put_along_axis(ranks, order, mean_rank, axis=-1)
+    return np.moveaxis(ranks, -1, axis)
+
+
+def _block_ranks(block, scheme, bin_width=1.0, noise=None):
+    """Per-sample ranks of a samples x models x tasks block.
+
+    Returns the samples x models ranks and the number of (sample, model)
+    pairs with a zero accuracy, which only the geometric mean counts.
+    ``noise`` holds the percentage-point noise of the noise variant.
+    """
+    if scheme == RankScheme.BY_AVERAGE:
+        return _descending_ranks(block.mean(axis=2)), 0
+    if scheme == RankScheme.GEOMETRIC_MEAN:
+        has_zero = (block == 0.0).any(axis=2)
+        with np.errstate(divide="ignore"):
+            gm = np.exp(np.log(block).mean(axis=2))
+        gm[has_zero] = 0.0
+        return _descending_ranks(gm), int(has_zero.sum())
+    percent = block * 100.0
+    if scheme == RankScheme.AVERAGE_RANK_NOISE:
+        percent += noise
+    elif scheme == RankScheme.AVERAGE_RANK_BINNED:
+        percent /= bin_width
+        np.floor(percent, out=percent)
+    return _descending_ranks(percent, axis=1).mean(axis=2), 0
+
+
+def _warn_zero_accuracy(n_pairs: int) -> None:
+    warnings.warn(
+        f"{n_pairs} (sample, model) pair(s) have a zero accuracy; their "
+        "geometric mean is 0 and they rank last",
+        stacklevel=3,
+    )
+
+
+def _check_scheme_args(scheme, noise_sd, bin_width) -> None:
+    if scheme == RankScheme.AVERAGE_RANK_NOISE and noise_sd < 0:
+        raise ValidationError(f"noise sd must be >= 0, got {noise_sd}")
+    if scheme == RankScheme.AVERAGE_RANK_BINNED and bin_width <= 0:
+        raise ValidationError(f"bin width must be > 0, got {bin_width}")
+
+
+def _one_sample(acc) -> np.ndarray:
+    return np.atleast_2d(np.asarray(acc, dtype=float))[None]
 
 
 def ranks_by_average(acc: np.ndarray) -> np.ndarray:
     """Ranks of across-task mean accuracy; 1 = highest mean."""
-    acc = np.atleast_2d(np.asarray(acc, dtype=float))
-    return _descending_ranks(acc.mean(axis=1))
+    return _block_ranks(_one_sample(acc), RankScheme.BY_AVERAGE)[0][0]
 
 
 def ranks_by_geometric_mean(acc: np.ndarray) -> np.ndarray:
@@ -78,18 +150,17 @@ def ranks_by_geometric_mean(acc: np.ndarray) -> np.ndarray:
     behind every strictly positive model; such rows are flagged with a
     warning.
     """
-    acc = np.atleast_2d(np.asarray(acc, dtype=float))
-    has_zero = (acc == 0.0).any(axis=1)
-    gm = np.zeros(acc.shape[0])
-    if np.any(~has_zero):
-        gm[~has_zero] = np.exp(np.log(acc[~has_zero]).mean(axis=1))
-    if np.any(has_zero):
-        warnings.warn(
-            f"{int(has_zero.sum())} model(s) have a zero accuracy; their "
-            "geometric mean is 0 and they rank last",
-            stacklevel=2,
-        )
-    return _descending_ranks(gm)
+    ranks, n_zero = _block_ranks(_one_sample(acc), RankScheme.GEOMETRIC_MEAN)
+    if n_zero:
+        _warn_zero_accuracy(n_zero)
+    return ranks[0]
+
+
+_VARIANTS = {
+    "plain": RankScheme.AVERAGE_RANK,
+    "noise": RankScheme.AVERAGE_RANK_NOISE,
+    "binned": RankScheme.AVERAGE_RANK_BINNED,
+}
 
 
 def average_rank(
@@ -107,38 +178,17 @@ def average_rank(
     integer multiples of the width — and ranks the buckets, so models in
     the same bucket tie.
     """
-    acc = np.atleast_2d(np.asarray(acc, dtype=float))
-    if variant not in ("plain", "noise", "binned"):
+    block = _one_sample(acc)
+    if variant not in _VARIANTS:
         raise ValidationError(f"unknown average-rank variant {variant!r}")
-    percent = acc * 100.0
-    if variant == "noise":
-        if noise_sd < 0:
-            raise ValidationError(f"noise sd must be >= 0, got {noise_sd}")
+    scheme = _VARIANTS[variant]
+    _check_scheme_args(scheme, noise_sd, bin_width)
+    noise = None
+    if scheme == RankScheme.AVERAGE_RANK_NOISE:
         if rng is None:
             raise ValidationError("the noise variant needs a random stream")
-        percent = percent + rng.normal(0.0, noise_sd, size=percent.shape)
-    elif variant == "binned":
-        if bin_width <= 0:
-            raise ValidationError(f"bin width must be > 0, got {bin_width}")
-        percent = np.floor(percent / bin_width)
-    return _descending_ranks(percent, axis=0).mean(axis=1)
-
-
-_VARIANTS = {
-    RankScheme.AVERAGE_RANK: "plain",
-    RankScheme.AVERAGE_RANK_NOISE: "noise",
-    RankScheme.AVERAGE_RANK_BINNED: "binned",
-}
-
-
-def _scheme_ranks(acc, scheme, noise_sd, bin_width, rng):
-    if scheme == RankScheme.BY_AVERAGE:
-        return ranks_by_average(acc)
-    if scheme == RankScheme.GEOMETRIC_MEAN:
-        return ranks_by_geometric_mean(acc)
-    return average_rank(
-        acc, _VARIANTS[scheme], noise_sd=noise_sd, bin_width=bin_width, rng=rng
-    )
+        noise = rng.normal(0.0, noise_sd, size=block.shape[1:])
+    return _block_ranks(block, scheme, bin_width, noise)[0][0]
 
 
 def rank_intervals(
@@ -178,20 +228,33 @@ def rank_intervals(
             seed = 0
         if method is None:
             method = "bhm-posterior-predictive"
-    n_samples, n_models = values.shape[:2]
+    n_samples, n_models, n_tasks = values.shape
     if n_samples < 2:
         raise ValidationError("need at least 2 samples for rank intervals")
     if len(models) != n_models:
         raise ValidationError(f"{len(models)} names for {n_models} models")
 
+    _check_scheme_args(scheme, noise_sd, bin_width)
+
+    step = max(1, _BLOCK_CELLS // max(1, n_models * n_tasks))
     ranks = np.empty((n_samples, n_models))
-    for s in range(n_samples):
-        rng = (
-            _rng.substream(seed, _rng.RANK_NOISE, s)
-            if scheme == RankScheme.AVERAGE_RANK_NOISE
-            else None
+    n_zero = 0
+    for lo in range(0, n_samples, step):
+        block = values[lo : lo + step]
+        noise = None
+        if scheme == RankScheme.AVERAGE_RANK_NOISE:
+            noise = np.stack([
+                _rng.substream(seed, _rng.RANK_NOISE, s).normal(
+                    0.0, noise_sd, size=(n_models, n_tasks)
+                )
+                for s in range(lo, lo + len(block))
+            ])
+        ranks[lo : lo + len(block)], zeros = _block_ranks(
+            block, scheme, bin_width, noise
         )
-        ranks[s] = _scheme_ranks(values[s], scheme, noise_sd, bin_width, rng)
+        n_zero += zeros
+    if n_zero:
+        _warn_zero_accuracy(n_zero)
 
     out = []
     for i, model in enumerate(models):

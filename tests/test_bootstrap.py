@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from benchuq import bootstrap
 from benchuq.bootstrap import (
     IntervalEstimate,
     ReplicateStore,
@@ -111,6 +112,36 @@ class TestRunBootstrap:
             run_bootstrap(table, B=10_000, seed=0, max_bytes=1024)
         assert err.value.requested_bytes == 10_000 * 2 * 3 * 8
         assert err.value.available_bytes == 1024
+
+    @pytest.mark.parametrize(
+        "meminfo, free, limit, expected",
+        [
+            (8000, 3000, None, 8000),  # MemAvailable, not the free pages
+            (8000, 3000, 5000, 5000),  # capped by the cgroup limit
+            (None, 3000, 5000, 3000),  # falls back to the free pages
+            (None, None, 5000, None),  # neither memory figure readable
+        ],
+    )
+    def test_available_bytes_sources(self, monkeypatch, meminfo, free, limit, expected):
+        monkeypatch.setattr(bootstrap, "_meminfo_available", lambda: meminfo)
+        monkeypatch.setattr(bootstrap, "_free_bytes", lambda: free)
+        monkeypatch.setattr(bootstrap, "_cgroup_limit", lambda: limit)
+        assert bootstrap._available_bytes() == expected
+
+    def test_memory_readers_parse_the_kernel_files(self, monkeypatch, tmp_path):
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text("MemTotal: 16 kB\nMemFree: 2 kB\nMemAvailable: 7 kB\n")
+        limit = tmp_path / "memory.max"
+        monkeypatch.setattr(bootstrap, "_MEMINFO", meminfo)
+        monkeypatch.setattr(bootstrap, "_CGROUP_MEMORY_MAX", limit)
+        assert bootstrap._meminfo_available() == 7 * 1024
+        assert bootstrap._cgroup_limit() is None  # no such file
+        limit.write_text("max\n")
+        assert bootstrap._cgroup_limit() is None
+        limit.write_text("4096\n")
+        assert bootstrap._cgroup_limit() == 4096
+        meminfo.write_text("MemTotal: 16 kB\n")
+        assert bootstrap._meminfo_available() is None
 
     def test_invalid_b_rejected(self):
         with pytest.raises(ValidationError, match=">= 1"):

@@ -6,9 +6,16 @@ and iteration counts small and check the plumbing around them.
 
 import json
 import math
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import benchuq
 from benchuq.cli import (
     EXIT_COMPUTE,
     EXIT_DATA,
@@ -351,3 +358,30 @@ def test_report_outputs_are_byte_identical_across_reruns_and_workers(tmp_path):
     first = tree_bytes(outs[0])
     assert first == tree_bytes(outs[1])
     assert first == tree_bytes(outs[2])
+
+
+# ------------------------------------------------------- import and docs
+
+
+def test_importing_the_cli_loads_no_scipy_stats():
+    # scipy.stats costs most of a second at start-up, which every command
+    # would pay; the rank code uses its own average-rank helper instead.
+    src = str(Path(benchuq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import benchuq.cli, sys; sys.exit('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert result.returncode == 0
+
+
+def readme_cli_lines():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```bash\n(.*?)```", readme.read_text(), flags=re.S)
+    return [line.strip() for block in blocks for line in block.splitlines()
+            if line.strip().startswith("benchuq ")]
+
+
+@pytest.mark.parametrize("line", readme_cli_lines())
+def test_readme_cli_line_parses(line):
+    parser, _ = build_parser()
+    args = parser.parse_args(shlex.split(line, comments=True)[1:])
+    assert args.command == shlex.split(line)[1]

@@ -1,5 +1,7 @@
 """Rank scheme semantics: fractional ties, noise, binning, and intervals."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +9,20 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 from scipy.stats import rankdata
 
+from benchuq import ranking as ranking_mod
 from benchuq import rng as rng_mod
-from benchuq.bootstrap import ReplicateStore, run_bootstrap
+from benchuq.bootstrap import (
+    DISPLAY_LEVEL,
+    ReplicateStore,
+    percentile_interval,
+    run_bootstrap,
+)
 from benchuq.core import EvalTable, TaskSpec
 from benchuq.errors import ValidationError
+from benchuq.normalize import estimate_bounds, normalize_scores
 from benchuq.ranking import (
     RankScheme,
+    _descending_ranks,
     average_rank,
     rank_intervals,
     ranks_by_average,
@@ -64,8 +74,6 @@ def test_geometric_mean_zero_ranks_last_and_warns():
 
 
 def test_geometric_mean_no_warning_when_positive():
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ranks_by_geometric_mean(np.array([[0.5, 0.6], [0.7, 0.8]]))
@@ -270,3 +278,100 @@ def test_store_seed_is_default_noise_seed(small=small_table):
     explicit = rank_intervals(store, RankScheme.AVERAGE_RANK_NOISE, seed=21)
     implicit = rank_intervals(store, RankScheme.AVERAGE_RANK_NOISE)
     assert [s.point for s in explicit] == [s.point for s in implicit]
+
+
+# ------------------------------------------ block path against the oracle
+
+
+@given(
+    npst.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 5)),
+        elements=st.integers(0, 3).map(lambda k: k / 3.0),
+    ),
+    st.integers(0, 2),
+)
+@settings(max_examples=150, deadline=None)
+def test_descending_ranks_equal_rankdata(values, axis):
+    # Few distinct values, so most slices hold ties; shapes include a single
+    # sample, a single model and a single task.
+    ranks = _descending_ranks(values, axis=axis)
+    assert np.array_equal(ranks, rankdata(-values, method="average", axis=axis))
+
+
+def _reference_ranks(values, scheme, seed, noise_sd=1.0, bin_width=1.0):
+    """Sample-by-sample ranks with scipy's rankdata, as the loop computed them."""
+    scheme = RankScheme(scheme)
+    ranks = np.empty(values.shape[:2])
+    for s, acc in enumerate(values):
+        if scheme == RankScheme.BY_AVERAGE:
+            ranks[s] = rankdata(-acc.mean(axis=1), method="average")
+            continue
+        if scheme == RankScheme.GEOMETRIC_MEAN:
+            has_zero = (acc == 0.0).any(axis=1)
+            gm = np.zeros(acc.shape[0])
+            gm[~has_zero] = np.exp(np.log(acc[~has_zero]).mean(axis=1))
+            ranks[s] = rankdata(-gm, method="average")
+            continue
+        percent = acc * 100.0
+        if scheme == RankScheme.AVERAGE_RANK_NOISE:
+            gen = rng_mod.substream(seed, rng_mod.RANK_NOISE, s)
+            percent = percent + gen.normal(0.0, noise_sd, size=percent.shape)
+        elif scheme == RankScheme.AVERAGE_RANK_BINNED:
+            percent = np.floor(percent / bin_width)
+        ranks[s] = rankdata(-percent, method="average", axis=0).mean(axis=1)
+    return ranks
+
+
+def _summary_rows(summaries):
+    return [(s.point, s.interval.lower, s.interval.upper) for s in summaries]
+
+
+def _reference_rows(ranks):
+    return [
+        (float(ranks[:, i].mean()), *percentile_interval(ranks[:, i], DISPLAY_LEVEL))
+        for i in range(ranks.shape[1])
+    ]
+
+
+def test_rank_intervals_equal_per_sample_reference_across_blocks():
+    # 40 models x 30 tasks: the block holds fewer samples than the store, and
+    # the sample count is not a multiple of it, so a full block and a partial
+    # one are both ranked.  Counts of 0-4 out of 4 give ties and zeros.
+    n_models, n_tasks = 40, 30
+    step = max(1, ranking_mod._BLOCK_CELLS // (n_models * n_tasks))
+    n_samples = step + step // 3 + 1
+    assert n_samples % step != 0
+    gen = np.random.default_rng(8)
+    tasks = tuple(TaskSpec(f"t{j}", "c", 4) for j in range(n_tasks))
+    table = EvalTable(
+        models=tuple(f"m{i}" for i in range(n_models)),
+        tasks=tasks,
+        counts=gen.integers(0, 5, size=(n_models, n_tasks)),
+    )
+    store = run_bootstrap(table, B=n_samples, seed=3)
+    normalized = normalize_scores(store.replicates, estimate_bounds(store))
+    for scheme in RankScheme:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            raw = rank_intervals(store, scheme)
+            norm = rank_intervals(normalized, scheme, seed=store.seed)
+        expected_raw = _reference_rows(_reference_ranks(store.replicates, scheme, 3))
+        expected_norm = _reference_rows(_reference_ranks(normalized, scheme, 3))
+        assert _summary_rows(raw) == expected_raw, scheme
+        assert _summary_rows(norm) == expected_norm, scheme
+
+
+def test_rank_intervals_geometric_mean_zero_cells_warn_once():
+    gen = np.random.default_rng(2)
+    samples = gen.uniform(0.2, 0.9, size=(30, 4, 3))
+    samples[:5, 0, 1] = 0.0  # model 0 has a zero in samples 0-4
+    samples[3, 2, :] = 0.0  # model 2 in sample 3
+    with pytest.warns(UserWarning, match="zero accuracy") as record:
+        summaries = rank_intervals(samples, RankScheme.GEOMETRIC_MEAN)
+    zero_warnings = [w for w in record if "zero accuracy" in str(w.message)]
+    assert len(zero_warnings) == 1
+    assert str(zero_warnings[0].message).startswith("6 (sample, model) pair(s)")
+    ranks = _reference_ranks(samples, RankScheme.GEOMETRIC_MEAN, 0)
+    assert _summary_rows(summaries) == _reference_rows(ranks)
+    assert ranks[0, 0] == 4.0 and ranks[3, 0] == ranks[3, 2] == 3.5
