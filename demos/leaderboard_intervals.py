@@ -16,8 +16,8 @@ from benchuq import load_vtab
 table = load_vtab()
 print(f"{len(table.models)} models x {len(table.tasks)} tasks")
 
-# Resample every cell B times.  Replicates are seeded per index, so any
-# worker count reproduces the same store.
+# Resample every cell B times.  Replicates are seeded per index, so the
+# same seed always reproduces the same store.
 from benchuq.bootstrap import (
     aggregate_interval,
     pairwise_difference_intervals,

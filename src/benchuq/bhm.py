@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
@@ -409,17 +408,17 @@ def fit_bhm(
     table: EvalTable,
     priors=None,
     config: McmcConfig = McmcConfig(),
-    workers: int = 1,
 ) -> PosteriorDraws:
     """Fit the hierarchical model; deterministic given the config seed.
 
     ``priors`` may be a single PriorSpec (both hyperparameters, all models),
     an (alpha_prior, beta_prior) tuple, or a mapping model -> pair; models
     missing from a mapping get the default exponential hyperpriors.  Chains
-    use chain-indexed substreams, so the result does not depend on
-    ``workers``.  Convergence diagnostics (split-chain R-hat and effective
-    sample size of each model's mean theta trace) are attached to the result
-    and a warning fires if any R-hat exceeds 1.05.
+    run one after another, each on its own chain-indexed substream, so a
+    chain's draws do not depend on the order chains run in.  Convergence
+    diagnostics (split-chain R-hat and effective sample size of each model's
+    mean theta trace) are attached to the result and a warning fires if any
+    R-hat exceeds 1.05.
     """
     by_model = _normalize_priors(priors, table.models)
     prior_pairs = [by_model[m] for m in table.models]
@@ -434,17 +433,9 @@ def fit_bhm(
     alpha = np.empty((C * K, n_models))
     beta = np.empty((C * K, n_models))
 
-    def run(c: int) -> None:
+    for c in range(C):
         block = slice(c * K, (c + 1) * K)
         _run_chain(table, prior_pairs, config, c, theta[block], alpha[block], beta[block])
-
-    if workers == 1 or C == 1:
-        for c in range(C):
-            run(c)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for future in [pool.submit(run, c) for c in range(C)]:
-                future.result()
 
     mean_theta = theta.mean(axis=2)  # draws x models
     diagnostics = {}

@@ -5,14 +5,13 @@ distributionally identical to drawing the success count directly from
 Binomial(N_j, Y_ij / N_j), so each replicate cell is a single binomial draw
 — O(1) memory per cell no matter how large the test set.  Replicate r is a
 pure function of (table, seed, r): it is drawn from its own random
-substream, so any worker count produces bit-identical stores.
+substream, so the store does not depend on the order replicates are drawn in.
 """
 
 from __future__ import annotations
 
 import gzip
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
@@ -119,11 +118,12 @@ def draw_replicate(table: EvalTable, replicate_index: int, seed: int) -> np.ndar
     from the substream keyed on (seed, BOOTSTRAP, replicate_index) in fixed
     row-major cell order — bit-identical regardless of execution order.
     """
-    gen = _rng.substream(seed, _rng.BOOTSTRAP, replicate_index)
-    sizes = table.sizes
-    p_hat = accuracy_of(table).values
-    resampled = gen.binomial(sizes[None, :], p_hat)
-    return resampled / sizes[None, :]
+    return _draw(seed, replicate_index, table.sizes, accuracy_of(table).values)
+
+
+def _draw(seed: int, r: int, sizes: np.ndarray, p_hat: np.ndarray) -> np.ndarray:
+    gen = _rng.substream(seed, _rng.BOOTSTRAP, r)
+    return gen.binomial(sizes[None, :], p_hat) / sizes[None, :]
 
 
 _MEMINFO = Path("/proc/meminfo")
@@ -177,20 +177,17 @@ def run_bootstrap(
     table: EvalTable,
     B: int = DEFAULT_REPLICATES,
     seed: int = 0,
-    workers: int = 1,
     max_bytes: int | None = None,
 ) -> ReplicateStore:
     """Draw B bootstrap replicates of the whole table.
 
-    The store's content depends only on (table, B, seed); ``workers`` only
-    distributes independent replicate substreams across threads.  Raises a
+    Replicate r comes from its own substream (see :func:`draw_replicate`),
+    so the store's content depends only on (table, B, seed).  Raises a
     capacity error before allocating if the replicate block would not fit in
     ``max_bytes`` (default: currently available physical memory).
     """
     if B < 1:
         raise ValidationError(f"replicate count must be >= 1, got {B}")
-    if workers < 1:
-        raise ValidationError(f"worker count must be >= 1, got {workers}")
     n_models, n_tasks = table.counts.shape
     requested = B * n_models * n_tasks * np.dtype(float).itemsize
     available = max_bytes if max_bytes is not None else _available_bytes()
@@ -200,20 +197,8 @@ def run_bootstrap(
     out = np.empty((B, n_models, n_tasks))
     sizes = table.sizes
     p_hat = accuracy_of(table).values
-
-    def fill(lo: int, hi: int) -> None:
-        for r in range(lo, hi):
-            gen = _rng.substream(seed, _rng.BOOTSTRAP, r)
-            out[r] = gen.binomial(sizes[None, :], p_hat) / sizes[None, :]
-
-    if workers == 1:
-        fill(0, B)
-    else:
-        chunk = -(-B // workers)
-        spans = [(lo, min(lo + chunk, B)) for lo in range(0, B, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for future in [pool.submit(fill, lo, hi) for lo, hi in spans]:
-                future.result()
+    for r in range(B):
+        out[r] = _draw(seed, r, sizes, p_hat)
     return ReplicateStore(replicates=out, seed=seed, source=table)
 
 

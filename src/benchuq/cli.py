@@ -3,7 +3,7 @@
 Subcommands: ``ingest``, ``bootstrap``, ``bhm``, ``ranks``, ``simplex``,
 ``report``, ``simstudy``.  Each statistic in an emitted artifact comes from
 exactly one library call; the CLI only orchestrates and formats, so a fixed
-configuration produces a byte-identical output tree at any worker count.
+configuration produces a byte-identical output tree on every run.
 
 Exit codes: 0 success; 1 usage error (bad flags or config); 2 input-data
 validation error; 3 computation failure — including reproduction checks
@@ -95,8 +95,8 @@ def _add_common(p: _Parser, *, data: bool = True, outputs: bool = True) -> None:
     p.add_argument("--seed", type=int, default=0,
                    help="root seed for all random streams (default: %(default)s)")
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel workers inside the statistics modules; "
-                        "results do not depend on this (default: %(default)s)")
+                   help="accepted for compatibility and must be >= 1; all "
+                        "work runs in one thread (default: %(default)s)")
 
 
 def _add_bootstrap_args(p: _Parser) -> None:
@@ -270,25 +270,22 @@ def _formats(args) -> set[str]:
     return formats
 
 
-def _category_order(table: EvalTable) -> tuple[str, ...]:
-    seen: dict[str, None] = {}
-    for t in table.tasks:
-        seen.setdefault(t.category, None)
-    return tuple(seen)
+def _emit_tables(out_dir: Path, stem: str, rows, columns, formats, *,
+                 scale: float = 100.0, label: str = "Model") -> list[Path]:
+    """Write one interval table as markdown and CSV, as ``formats`` selects.
 
-
-def _emit_tables(out_dir: Path, stem: str, headers, rows, csv_headers,
-                 csv_rows, formats) -> list[Path]:
+    ``rows`` is a list of (name, {column: IntervalEstimate}) pairs.
+    """
+    columns = list(columns)
     written = []
     if "markdown" in formats:
-        written.append(
-            rpt.write_text(out_dir / f"{stem}.md", rpt.markdown_table(headers, rows))
-        )
+        headers, body = rpt.interval_table(rows, columns, scale=scale, label=label)
+        written.append(rpt.write_text(out_dir / f"{stem}.md",
+                                      rpt.markdown_table(headers, body)))
     if "csv" in formats:
-        written.append(
-            rpt.write_text(out_dir / f"{stem}.csv",
-                           rpt.csv_table(csv_headers, csv_rows))
-        )
+        headers, body = rpt.interval_csv_rows(rows, columns, label=label.lower())
+        written.append(rpt.write_text(out_dir / f"{stem}.csv",
+                                      rpt.csv_table(headers, body)))
     return written
 
 
@@ -313,13 +310,21 @@ def _mcmc_config(args) -> McmcConfig:
     )
 
 
-def _interval_rows(models, columns_by_label):
-    """Pair each model with its {column label: estimate} mapping."""
+def _interval_rows(names, columns_by_label):
+    """Pair each row name with its {column label: estimate} mapping."""
     return [
         (m, {label: column[m] for label, column in columns_by_label.items()
              if m in column})
-        for m in models
+        for m in names
     ]
+
+
+def _columns_payload(columns_by_label) -> dict:
+    """JSON form of {column label: {row name: estimate}}."""
+    return {
+        label: {name: rpt.interval_dict(est) for name, est in column.items()}
+        for label, column in columns_by_label.items()
+    }
 
 
 def _leaderboard_order(models, estimates) -> list[str]:
@@ -353,10 +358,8 @@ def _rank_table_files(out_dir, sections, formats):
         for i, model in enumerate(models):
             cells = {c: by_scheme[c][i].interval for c in columns}
             rows.append((model, cells))
-        headers, body = rpt.interval_table(rows, columns, scale=1.0, digits=1)
-        csv_headers, csv_body = rpt.interval_csv_rows(rows, columns)
-        written += _emit_tables(out_dir, f"ranks_{section}", headers, body,
-                                csv_headers, csv_body, formats)
+        written += _emit_tables(out_dir, f"ranks_{section}", rows, columns,
+                                formats, scale=1.0)
     return written
 
 
@@ -383,7 +386,7 @@ def cmd_ingest(args) -> int:
     print(
         f"{len(table.models)} models x {len(table.tasks)} tasks; "
         f"test sizes {int(sizes.min())}-{int(sizes.max())}; "
-        f"categories: {', '.join(_category_order(table))}"
+        f"categories: {', '.join(table.categories)}"
     )
     published = None
     if args.published:
@@ -409,8 +412,7 @@ def cmd_bootstrap(args) -> int:
     formats = _formats(args)
     table = _load_table(args)
     out_dir = Path(args.out_dir)
-    store = run_bootstrap(table, B=args.replicates, seed=args.seed,
-                          workers=args.workers)
+    store = run_bootstrap(table, B=args.replicates, seed=args.seed)
     raw = {m: aggregate_interval(store, m, level=args.level)
            for m in table.models}
     columns = {"Avg Acc (bootstrap)": raw}
@@ -421,20 +423,14 @@ def cmd_bootstrap(args) -> int:
             for m in table.models
         }
     order = _leaderboard_order(list(table.models), raw)
-    rows = _interval_rows(order, columns)
-    headers, body = rpt.interval_table(rows, list(columns), scale=100.0)
-    csv_headers, csv_body = rpt.interval_csv_rows(rows, list(columns))
-    written = _emit_tables(out_dir, "leaderboard_bootstrap", headers, body,
-                           csv_headers, csv_body, formats)
+    written = _emit_tables(out_dir, "leaderboard_bootstrap",
+                           _interval_rows(order, columns), columns, formats)
     payload = {
         "command": "bootstrap",
         "seed": args.seed,
         "replicates": args.replicates,
         "level": args.level,
-        "leaderboard": {
-            label: {m: rpt.interval_dict(est) for m, est in column.items()}
-            for label, column in columns.items()
-        },
+        "leaderboard": _columns_payload(columns),
     }
     return _finish(out_dir, written, formats, "bootstrap.json", payload)
 
@@ -444,15 +440,13 @@ def cmd_bhm(args) -> int:
     table = _load_table(args)
     out_dir = Path(args.out_dir)
     draws = fit_bhm(table, priors=PriorSpec.exponential(args.prior_rate),
-                    config=_mcmc_config(args), workers=args.workers)
+                    config=_mcmc_config(args))
     column = {m: credible_interval(draws, m, level=args.level)
               for m in table.models}
     order = _leaderboard_order(list(table.models), column)
-    rows = _interval_rows(order, {"Avg Acc (BHM)": column})
-    headers, body = rpt.interval_table(rows, ["Avg Acc (BHM)"], scale=100.0)
-    csv_headers, csv_body = rpt.interval_csv_rows(rows, ["Avg Acc (BHM)"])
-    written = _emit_tables(out_dir, "leaderboard_bhm", headers, body,
-                           csv_headers, csv_body, formats)
+    columns = {"Avg Acc (BHM)": column}
+    written = _emit_tables(out_dir, "leaderboard_bhm",
+                           _interval_rows(order, columns), columns, formats)
     diag_rows = [
         (m, repr(draws.diagnostics[m]["rhat"]), repr(draws.diagnostics[m]["ess"]))
         for m in table.models
@@ -483,8 +477,7 @@ def cmd_ranks(args) -> int:
     formats = _formats(args)
     table = _load_table(args)
     out_dir = Path(args.out_dir)
-    store = run_bootstrap(table, B=args.replicates, seed=args.seed,
-                          workers=args.workers)
+    store = run_bootstrap(table, B=args.replicates, seed=args.seed)
     bounds = estimate_bounds(store) if args.normalized else None
     schemes = ALL_SCHEMES if args.scheme is None else (RankScheme(args.scheme),)
     sections = _rank_sections(store, bounds, schemes, args.level, args.normalized)
@@ -505,11 +498,10 @@ def cmd_simplex(args) -> int:
     if (args.z is None) != (args.rho is None):
         raise _UsageError("--z and --rho must be given together")
     settings = SIMPLEX_SETTINGS if args.z is None else ((args.z, args.rho),)
-    categories = _category_order(table)
+    categories = table.categories
     variants = [("simplex", None)]
     if args.normalized:
-        store = run_bootstrap(table, B=args.replicates, seed=args.seed,
-                              workers=args.workers)
+        store = run_bootstrap(table, B=args.replicates, seed=args.seed)
         variants.append(("simplex_normalized", estimate_bounds(store)))
     written = []
     fields = []
@@ -551,8 +543,7 @@ def cmd_report(args) -> int:
     formats = _formats(args)
     table = _load_table(args)
     out_dir = Path(args.out_dir)
-    store = run_bootstrap(table, B=args.replicates, seed=args.seed,
-                          workers=args.workers)
+    store = run_bootstrap(table, B=args.replicates, seed=args.seed)
     bounds = estimate_bounds(store)
 
     boot = {m: aggregate_interval(store, m, level=args.level)
@@ -563,7 +554,7 @@ def cmd_report(args) -> int:
     bhm_diag = None
     if not args.no_bhm:
         draws = fit_bhm(table, priors=PriorSpec.exponential(args.prior_rate),
-                        config=_mcmc_config(args), workers=args.workers)
+                        config=_mcmc_config(args))
         columns["Avg Acc (BHM)"] = {
             m: credible_interval(draws, m, level=args.level)
             for m in table.models
@@ -572,30 +563,21 @@ def cmd_report(args) -> int:
     columns["Avg Norm Acc (bootstrap)"] = norm
 
     order = _leaderboard_order(list(table.models), boot)
-    rows = _interval_rows(order, columns)
-    headers, body = rpt.interval_table(rows, list(columns), scale=100.0)
-    csv_headers, csv_body = rpt.interval_csv_rows(rows, list(columns))
-    written = _emit_tables(out_dir, "leaderboard", headers, body,
-                           csv_headers, csv_body, formats)
+    written = _emit_tables(out_dir, "leaderboard",
+                           _interval_rows(order, columns), columns, formats)
 
     top = order[:PAIRWISE_TOP]
     pair_columns = {
-        "Diff (bootstrap)": dict(pairwise_difference_intervals(store, top)),
-        "Diff (normalized)": dict(
-            pairwise_difference_intervals(store, top, normalizer=bounds)
-        ),
+        label: {f"{a} - {b}": est for (a, b), est in intervals}
+        for label, intervals in (
+            ("Diff (bootstrap)", pairwise_difference_intervals(store, top)),
+            ("Diff (normalized)",
+             pairwise_difference_intervals(store, top, normalizer=bounds)),
+        )
     }
-    pair_names = list(next(iter(pair_columns.values())))
-    pair_rows = [
-        (f"{a} - {b}", {label: col[(a, b)] for label, col in pair_columns.items()})
-        for a, b in pair_names
-    ]
-    headers, body = rpt.interval_table(pair_rows, list(pair_columns),
-                                       scale=100.0, label="Pair")
-    csv_headers, csv_body = rpt.interval_csv_rows(pair_rows, list(pair_columns))
-    csv_headers[0] = "pair"
-    written += _emit_tables(out_dir, "pairwise", headers, body,
-                            csv_headers, csv_body, formats)
+    pair_rows = _interval_rows(list(pair_columns["Diff (bootstrap)"]), pair_columns)
+    written += _emit_tables(out_dir, "pairwise", pair_rows, pair_columns,
+                            formats, label="Pair")
 
     sections = _rank_sections(store, bounds, ALL_SCHEMES, args.rank_level, True)
     written += _rank_table_files(out_dir, sections, formats)
@@ -606,15 +588,8 @@ def cmd_report(args) -> int:
         "replicates": args.replicates,
         "level": args.level,
         "rank_level": args.rank_level,
-        "leaderboard": {
-            label: {m: rpt.interval_dict(est) for m, est in column.items()}
-            for label, column in columns.items()
-        },
-        "pairwise": {
-            label: {f"{a} - {b}": rpt.interval_dict(est)
-                    for (a, b), est in column.items()}
-            for label, column in pair_columns.items()
-        },
+        "leaderboard": _columns_payload(columns),
+        "pairwise": _columns_payload(pair_columns),
         "ranks": _rank_payload(sections, args.rank_level),
     }
     if bhm_diag is not None:
@@ -661,8 +636,7 @@ def cmd_simstudy(args) -> int:
         checks.append((label, bool(ok)))
         say(f"[{'PASS' if ok else 'FAIL'}] {label}")
 
-    store = run_bootstrap(table, B=args.replicates, seed=args.seed,
-                          workers=args.workers)
+    store = run_bootstrap(table, B=args.replicates, seed=args.seed)
     ((_, boot),) = pairwise_difference_intervals(store, ["A", "B"], level=0.95)
     say(f"bootstrap 95% interval for the A-B accuracy difference: "
         f"{rpt.format_interval(boot, digits=3)}")
@@ -679,7 +653,7 @@ def cmd_simstudy(args) -> int:
             if args.strict:
                 warnings.simplefilter("error", ConvergenceWarning)
             draws = fit_bhm(table, priors=SIMSTUDY_PRIORS,
-                            config=_mcmc_config(args), workers=args.workers)
+                            config=_mcmc_config(args))
         a_minus_b = credible_interval(draws, "A", other="B", level=0.95)
         say(f"BHM 95% credible interval for the A-B theta difference: "
             f"{rpt.format_interval(a_minus_b, digits=3)}")
@@ -715,6 +689,12 @@ def main(argv=None) -> int:
         _apply_config(argv, parser, subs)
         try:
             args = parser.parse_args(argv)
+            workers = getattr(args, "workers", 1)
+            if not (isinstance(workers, int) and workers >= 1):
+                # Checked here so that a --config value is checked too.
+                subs[args.command].error(
+                    f"argument --workers: must be an integer >= 1, got {workers!r}"
+                )
         except SystemExit as exc:  # argparse already printed its message
             return int(exc.code or 0)
         if getattr(args, "command", None) is None:

@@ -148,34 +148,40 @@ _TASK_COLUMN = ("task", "task_id")
 _TASK_FILE_COLUMNS = (_TASK_COLUMN, ("category",), ("test_size", "n_examples"))
 
 
-def _read_csv_rows(path, columns):
+def read_csv_rows(path, columns=None) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Header and data rows of a CSV file, each data row with its line number.
+
+    Blank lines and lines starting with '#' (provenance notes in the bundled
+    fixtures) are skipped.  With ``columns``, one tuple of accepted spellings
+    per column, the header must match them case-insensitively after
+    stripping whitespace.  An unreadable, empty or mismatched file raises
+    ValidationError.
+    """
     path = Path(path)
     try:
         with path.open(newline="") as fh:
             reader = csv.reader(fh)
-            # '#' lines carry provenance notes in the bundled fixtures.
             rows = [
-                row
+                (reader.line_num, row)
                 for row in reader
-                if row
-                and any(c.strip() for c in row)
-                and not row[0].lstrip().startswith("#")
+                if any(c.strip() for c in row) and not row[0].lstrip().startswith("#")
             ]
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise ValidationError(f"{path}: empty file")
-    header = [c.strip().lower() for c in rows[0]]
-    if len(header) != len(columns) or any(
-        name not in names for name, names in zip(header, columns)
+    header = rows[0][1]
+    if columns is not None and (
+        len(header) != len(columns)
+        or any(c.strip().lower() not in names for c, names in zip(header, columns))
     ):
         canonical = ",".join(names[0] for names in columns)
         accepted = ",".join("|".join(names) for names in columns)
         raise ValidationError(
-            f"{path}: header {rows[0]!r} does not match expected "
+            f"{path}: header {header!r} does not match expected "
             f"{canonical!r} (accepted spellings: {accepted!r})"
         )
-    return rows[1:]
+    return header, rows[1:]
 
 
 def load_task_file(path) -> tuple[TaskSpec, ...]:
@@ -185,8 +191,9 @@ def load_task_file(path) -> tuple[TaskSpec, ...]:
     the task column and ``n_examples`` for the size column.  Header cells
     are matched case-insensitively after stripping whitespace.
     """
+    _, rows = read_csv_rows(path, _TASK_FILE_COLUMNS)
     tasks = []
-    for lineno, row in enumerate(_read_csv_rows(path, _TASK_FILE_COLUMNS), start=2):
+    for lineno, row in rows:
         if len(row) != 3:
             raise ValidationError(f"{path}: row {lineno} has {len(row)} columns, expected 3")
         task_id, category, size_text = (c.strip() for c in row)
@@ -231,12 +238,12 @@ def load_eval_table(path, task_path, format: str = "counts") -> EvalTable:
     tasks = load_task_file(task_path)
     task_pos = {t.task_id: j for j, t in enumerate(tasks)}
     value_column = "correct" if format == "counts" else "accuracy_percent"
-    rows = _read_csv_rows(path, (("model",), _TASK_COLUMN, (value_column,)))
+    _, rows = read_csv_rows(path, (("model",), _TASK_COLUMN, (value_column,)))
 
     models: list[str] = []
     model_pos: dict[str, int] = {}
     cells: dict[tuple[int, int], float] = {}
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in rows:
         if len(row) != 3:
             raise ValidationError(f"{path}: row {lineno} has {len(row)} columns, expected 3")
         model, task_id, value_text = (c.strip() for c in row)

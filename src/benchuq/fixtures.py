@@ -12,11 +12,16 @@ reproductions.
 
 from __future__ import annotations
 
-import csv
 from contextlib import ExitStack
 from importlib import resources
 
-from .core import ConsistencyReport, EvalTable, load_eval_table, validate_consistency
+from .core import (
+    ConsistencyReport,
+    EvalTable,
+    load_eval_table,
+    read_csv_rows,
+    validate_consistency,
+)
 from .errors import ValidationError
 
 # Category labels in the fixture's canonical reporting order.
@@ -41,20 +46,23 @@ def published_means_from_csv(path) -> dict[str, dict[str, float]]:
     Returns ``model -> {label: mean}``; '#' lines are comments.  The shape
     matches what :func:`benchuq.core.validate_consistency` expects.
     """
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if not rows:
-        raise ValidationError(f"{path}: no rows")
-    header, body = rows[0], rows[1:]
+    header, rows = read_csv_rows(path)
     labels = header[1:]
     out: dict[str, dict[str, float]] = {}
-    for row in body:
+    for lineno, row in rows:
         if len(row) != len(header):
             raise ValidationError(
-                f"{path}: row for {row[0]!r} has {len(row)} cells, "
+                f"{path}: row {lineno} for {row[0]!r} has {len(row)} cells, "
                 f"expected {len(header)}"
             )
-        out[row[0]] = {label: float(v) for label, v in zip(labels, row[1:])}
+        out[row[0]] = {}
+        for label, text in zip(labels, row[1:]):
+            try:
+                out[row[0]][label] = float(text)
+            except ValueError:
+                raise ValidationError(
+                    f"{path}: row {lineno}, column {label!r}: {text!r} is not numeric"
+                ) from None
     return out
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import read_csv_rows
 from .errors import DegenerateBoundsError, ValidationError
 
 __all__ = [
@@ -67,15 +68,9 @@ class NormalizationBounds:
     @classmethod
     def from_csv(cls, path) -> "NormalizationBounds":
         """Read user-supplied bounds (e.g. chance-level floors) from CSV."""
-        path = Path(path)
-        with path.open(newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or [c.strip().lower() for c in rows[0]] != ["task", "low", "high"]:
-            raise ValidationError(f"{path}: expected header 'task,low,high'")
+        _, rows = read_csv_rows(path, (("task",), ("low",), ("high",)))
         tasks, lows, highs = [], [], []
-        for lineno, row in enumerate(rows[1:], start=2):
-            if not row or not any(c.strip() for c in row):
-                continue
+        for lineno, row in rows:
             if len(row) != 3:
                 raise ValidationError(f"{path}: row {lineno} has {len(row)} columns")
             try:

@@ -81,9 +81,9 @@ def interval_table(rows, columns, scale: float = 1.0, digits: int = 1,
     return headers, out
 
 
-def interval_csv_rows(rows, columns):
+def interval_csv_rows(rows, columns, label: str = "model"):
     """Numeric CSV layout: one (lower, point, upper) triple per column."""
-    headers = ["model"]
+    headers = [label]
     for col in columns:
         slug = col.lower().replace(" ", "_")
         headers += [f"{slug}_lower", f"{slug}_point", f"{slug}_upper"]

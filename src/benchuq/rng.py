@@ -1,11 +1,11 @@
-"""Reproducible random substreams for parallel Monte Carlo work.
+"""Reproducible random substreams for Monte Carlo work.
 
 Every stochastic component derives its generator from a master seed plus a
 small integer key, via numpy's ``SeedSequence`` spawn-key mechanism.  The
 derivation is frozen: stream ``(seed, purpose, *indices)`` always yields the
-same PCG64 state, independent of the order streams are created in or of how
-work is distributed across workers.  This is what makes bootstrap replicates,
-MCMC chains, and rank-noise draws bit-reproducible at any parallelism level.
+same PCG64 state, independent of the order streams are created in.  This is
+what makes bootstrap replicates, MCMC chains, and rank-noise draws
+bit-reproducible whatever order they are evaluated in.
 
 Purpose constants (first key component):
 

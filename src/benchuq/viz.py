@@ -98,6 +98,13 @@ def _text(x, y, s, size=12, anchor="start", color="#111111", bold=False):
     )
 
 
+def _line(x1, y1, x2, y2, color="#111111", width=1):
+    return (
+        f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+        f'stroke="{color}" stroke-width="{width}"/>'
+    )
+
+
 def _finish(doc: str, path) -> str:
     if path is not None:
         Path(path).write_text(doc)
@@ -298,17 +305,9 @@ def render_forest(
         y = pad + (i + 0.5) * row_h
         body.append(_text(label_w - 8, y + 4, label, anchor="end"))
         if est.upper > est.lower:
-            body.append(
-                f'<line x1="{_fmt(x(est.lower))}" y1="{_fmt(y)}" '
-                f'x2="{_fmt(x(est.upper))}" y2="{_fmt(y)}" '
-                'stroke="#333333" stroke-width="2"/>'
-            )
+            body.append(_line(x(est.lower), y, x(est.upper), y, "#333333", 2))
             for v in (est.lower, est.upper):
-                body.append(
-                    f'<line x1="{_fmt(x(v))}" y1="{_fmt(y - 5)}" '
-                    f'x2="{_fmt(x(v))}" y2="{_fmt(y + 5)}" '
-                    'stroke="#333333" stroke-width="2"/>'
-                )
+                body.append(_line(x(v), y - 5, x(v), y + 5, "#333333", 2))
         body.append(
             f'<circle cx="{_fmt(x(est.point))}" cy="{_fmt(y)}" r="3.5" '
             'fill="#111111"/>'
@@ -324,17 +323,9 @@ def render_forest(
         )
 
     axis_y = pad + len(rows) * row_h + 10
-    body.append(
-        f'<line x1="{_fmt(label_w)}" y1="{_fmt(axis_y)}" '
-        f'x2="{_fmt(label_w + plot_w)}" y2="{_fmt(axis_y)}" '
-        'stroke="#111111" stroke-width="1"/>'
-    )
+    body.append(_line(label_w, axis_y, label_w + plot_w, axis_y))
     for v in np.linspace(lo, hi, 5):
-        body.append(
-            f'<line x1="{_fmt(x(v))}" y1="{_fmt(axis_y)}" '
-            f'x2="{_fmt(x(v))}" y2="{_fmt(axis_y + 5)}" '
-            'stroke="#111111" stroke-width="1"/>'
-        )
+        body.append(_line(x(v), axis_y, x(v), axis_y + 5))
         body.append(
             _text(x(v), axis_y + 18, f"{v:.4g}", size=10, anchor="middle")
         )
@@ -409,9 +400,5 @@ def render_rank_bars(
                         color="#444444",
                     )
                 )
-        body.append(
-            f'<line x1="{_fmt(px)}" y1="{_fmt(base)}" '
-            f'x2="{_fmt(px + panel_w)}" y2="{_fmt(base)}" '
-            'stroke="#111111" stroke-width="1"/>'
-        )
+        body.append(_line(px, base, px + panel_w, base))
     return _finish(_document(spec.width, height, body), path)

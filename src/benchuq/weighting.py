@@ -117,24 +117,34 @@ class WeightVector:
         )
 
 
-def resolve_task_weights(weights: WeightVector | None, tasks) -> np.ndarray:
-    """Per-task weights for a WeightVector, or uniform for UNWEIGHTED."""
+def resolve_task_weights(
+    weights: WeightVector | None, tasks=None, n_tasks: int | None = None
+) -> np.ndarray:
+    """Per-task weights for a WeightVector, or uniform for UNWEIGHTED.
+
+    ``n_tasks`` (default: ``len(tasks)``) is the number of weights expected.
+    Category weights need ``tasks`` to expand; per-task and uniform weights
+    only need the count.
+    """
+    if n_tasks is None:
+        n_tasks = len(tasks)
     if weights is UNWEIGHTED:
-        return np.full(len(tasks), 1.0 / len(tasks))
-    return weights.as_task_weights(tasks)
+        w = np.full(n_tasks, 1.0 / n_tasks)
+    elif tasks is not None:
+        w = weights.as_task_weights(tasks)
+    elif weights.is_categorical:
+        raise ValidationError("category weights require the task list")
+    else:
+        w = weights.weights
+    if w.size != n_tasks:
+        raise ValidationError(f"{w.size} weights for {n_tasks} tasks")
+    return w
 
 
 def weighted_score(acc_row: np.ndarray, weights: WeightVector | None, tasks=None) -> float:
     """Weighted mean score ``sum_j w_j p_j`` for one model's accuracy row."""
     acc_row = np.asarray(acc_row, dtype=float)
-    if weights is UNWEIGHTED:
-        return float(acc_row.mean())
-    if weights.is_categorical and tasks is None:
-        raise ValidationError("category weights require the task list")
-    w = weights.as_task_weights(tasks) if tasks is not None else weights.weights
-    if w.size != acc_row.size:
-        raise ValidationError(f"{w.size} weights for {acc_row.size} tasks")
-    return float(acc_row @ w)
+    return float(acc_row @ resolve_task_weights(weights, tasks, acc_row.size))
 
 
 def binomial_variances(acc_row: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -163,17 +173,7 @@ def weighted_variance(
     """
     acc_row = np.asarray(acc_row, dtype=float)
     variances = binomial_variances(acc_row, sizes)
-    if weights is UNWEIGHTED:
-        w = np.full(acc_row.size, 1.0 / acc_row.size)
-    elif weights.is_categorical:
-        if tasks is None:
-            raise ValidationError("category weights require the task list")
-        w = weights.as_task_weights(tasks)
-    else:
-        w = weights.weights
-    if w.size != acc_row.size:
-        raise ValidationError(f"{w.size} weights for {acc_row.size} tasks")
-
+    w = resolve_task_weights(weights, tasks, acc_row.size)
     total = float(w**2 @ variances)
     if covariances is not None:
         cov = np.asarray(covariances, dtype=float)

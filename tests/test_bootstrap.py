@@ -94,11 +94,11 @@ class TestRunBootstrap:
         store = run_bootstrap(table, B=1, seed=9)
         assert np.array_equal(store.replicates[0], draw_replicate(table, 0, seed=9))
 
-    def test_worker_count_does_not_change_content(self):
+    def test_same_seed_rerun_is_identical(self):
         table = sim_study_table()
-        serial = run_bootstrap(table, B=1000, seed=11, workers=1)
-        threaded = run_bootstrap(table, B=1000, seed=11, workers=8)
-        assert np.array_equal(serial.replicates, threaded.replicates)
+        first = run_bootstrap(table, B=1000, seed=11)
+        again = run_bootstrap(table, B=1000, seed=11)
+        assert np.array_equal(first.replicates, again.replicates)
 
     def test_replicate_means_track_observed_accuracies(self):
         table = sim_study_table()

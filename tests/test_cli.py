@@ -4,6 +4,7 @@ Statistical behavior is covered by the module tests; here we keep replicate
 and iteration counts small and check the plumbing around them.
 """
 
+import importlib.util
 import json
 import math
 import os
@@ -137,6 +138,22 @@ def test_config_missing_file_is_usage_error(tmp_path):
     assert run(argv) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["bootstrap", "bhm"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_zero_workers_is_usage_error(command, source, tmp_path, capsys):
+    argv = [command, "--chains", "2"] if command == "bhm" else [command]
+    if source == "flag":
+        argv += ["--workers", "0"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"workers": 0}))
+        argv += ["--config", str(cfg)]
+    assert run(argv + ["--out-dir", str(tmp_path / "out")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--workers" in err
+    assert not (tmp_path / "out").exists()
+
+
 # ------------------------------------------------------------- subcommands
 
 
@@ -159,6 +176,21 @@ def test_ingest_counts_csv_without_published_means(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "3 models x 3 tasks" in out
     assert "consistency check skipped" in out
+
+
+def test_ingest_missing_published_file_is_data_error(tmp_path, capsys):
+    missing = tmp_path / "absent.csv"
+    assert run(["ingest", "--published", str(missing)]) == EXIT_DATA
+    assert "absent.csv" in capsys.readouterr().err
+
+
+def test_ingest_non_numeric_published_cell_is_data_error(tmp_path, capsys):
+    published = tmp_path / "published.csv"
+    published.write_text("# means\nmodel,natural,overall\nRotation,n/a,60.0\n")
+    assert run(["ingest", "--published", str(published)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "published.csv" in err
+    assert re.search(r"row 3, column 'natural': 'n/a'", err)
 
 
 def test_ingest_malformed_eval_is_data_error(tmp_path):
@@ -371,6 +403,19 @@ def test_importing_the_cli_loads_no_scipy_stats():
     code = "import benchuq.cli, sys; sys.exit('scipy.stats' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
     assert result.returncode == 0
+
+
+def test_traced_layers_are_cli_attributes():
+    # perfbench/trace_cli.py wraps these names on benchuq.cli; a rename
+    # there would silently drop a layer from the benchmark's traced runs.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "trace_cli.py"
+    spec = importlib.util.spec_from_file_location("perfbench_trace_cli", path)
+    trace_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_cli)
+    import benchuq.cli as cli
+
+    missing = [name for name in trace_cli.CLI_LAYERS if not hasattr(cli, name)]
+    assert trace_cli.CLI_LAYERS and not missing
 
 
 def readme_cli_lines():

@@ -80,6 +80,17 @@ class TestBounds:
         with pytest.raises(ValidationError, match="header"):
             NormalizationBounds.from_csv(path)
 
+    def test_from_csv_missing_file_is_validation_error(self, tmp_path):
+        with pytest.raises(ValidationError, match="absent.csv"):
+            NormalizationBounds.from_csv(tmp_path / "absent.csv")
+
+    def test_from_csv_skips_comment_before_header(self, tmp_path):
+        path = tmp_path / "bounds.csv"
+        path.write_text("# chance-level floors\ntask,low,high\nt1,0.25,1.0\n")
+        back = NormalizationBounds.from_csv(path)
+        assert back.tasks == ("t1",)
+        assert back.low.tolist() == [0.25] and back.high.tolist() == [1.0]
+
 
 class TestNormalizeScores:
     BOUNDS = NormalizationBounds(
