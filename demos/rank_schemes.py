@@ -11,7 +11,7 @@ many narrow per-task comparisons that barely move its mean.
 
 from benchuq import load_vtab
 from benchuq.bootstrap import run_bootstrap
-from benchuq.ranking import ALL_SCHEMES, rank_intervals
+from benchuq.ranking import RankScheme, rank_intervals
 
 table = load_vtab()
 store = run_bootstrap(table, B=2_000, seed=0)
@@ -20,13 +20,13 @@ store = run_bootstrap(table, B=2_000, seed=0)
 # same with 1-point Gaussian noise, and with 1-point accuracy bins.
 summaries = {
     scheme.value: rank_intervals(store, scheme, level=0.95)
-    for scheme in ALL_SCHEMES
+    for scheme in RankScheme
 }
 
 # Print the top six rows of the published-style table.
 from benchuq.report import format_interval
 
-columns = [s.value for s in ALL_SCHEMES]
+columns = [s.value for s in RankScheme]
 print(f"{'Model':20s}" + "".join(f"{c:>24s}" for c in columns))
 for i in range(6):
     model = summaries[columns[0]][i].model

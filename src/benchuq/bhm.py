@@ -28,7 +28,7 @@ from scipy.special import betaln
 
 from . import rng as _rng
 from .bootstrap import IntervalEstimate, percentile_interval
-from .core import EvalTable
+from .core import EvalTable, write_long_csv
 from .errors import ConvergenceWarning, SliceSamplerError, ValidationError
 from .weighting import UNWEIGHTED, WeightVector, resolve_task_weights
 
@@ -59,6 +59,11 @@ RHAT_WARN_THRESHOLD = 1.05
 # Shrinkage halves the bracket (in expectation) every rejection, so a
 # conforming log density cannot take anywhere near this many tries.
 _SHRINK_BUDGET = 200
+
+# Slice window for log(alpha) and log(beta): one unit is a factor of e, and
+# the stepping-out budget of 50 windows spans a factor of e^50 in total.
+_SLICE_WIDTH = 1.0
+_SLICE_MAX_STEPOUT = 50
 
 # Keeps log(theta) and log1p(-theta) finite when a conjugate draw rounds
 # to an endpoint in floating point.
@@ -127,8 +132,6 @@ class McmcConfig:
     thinning: int = 5
     chains: int = 4
     seed: int = 0
-    slice_width: float = 1.0
-    slice_max_stepout: int = 50
 
     def __post_init__(self):
         if self.burn_in < 0 or self.burn_in >= self.total_iterations:
@@ -139,12 +142,6 @@ class McmcConfig:
             raise ValidationError(f"thinning must be >= 1, got {self.thinning}")
         if self.chains < 1:
             raise ValidationError(f"chain count must be >= 1, got {self.chains}")
-        if self.slice_width <= 0:
-            raise ValidationError(f"slice width must be > 0, got {self.slice_width}")
-        if self.slice_max_stepout < 1:
-            raise ValidationError(
-                f"slice max stepout must be >= 1, got {self.slice_max_stepout}"
-            )
 
     @property
     def retained_per_chain(self) -> int:
@@ -193,33 +190,21 @@ class PosteriorDraws:
         except ValueError:
             raise KeyError(f"unknown model {model!r}") from None
 
-    def _retained_iteration(self, k: int) -> int:
-        return self.config.burn_in + (k + 1) * self.config.thinning
-
     def to_csv(self, directory) -> None:
         """Dump draws as theta.csv and hyper.csv with a config.json echo."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         K = self.config.retained_per_chain
+        burn, step = self.config.burn_in, self.config.thinning
+        # Draws are chain-major: draw s is chain s // K at kept step s % K.
+        draws = (range(self.n_draws // K), range(burn + step, burn + (K + 1) * step, step))
         task_ids = [getattr(t, "task_id", str(t)) for t in self.tasks]
-        with (directory / "theta.csv").open("w", newline="") as fh:
-            fh.write("chain,iteration,model,task,theta\n")
-            for s in range(self.n_draws):
-                c, k = divmod(s, K)
-                it = self._retained_iteration(k)
-                for i, model in enumerate(self.models):
-                    for j, task in enumerate(task_ids):
-                        fh.write(f"{c},{it},{model},{task},{float(self.theta[s, i, j])!r}\n")
-        with (directory / "hyper.csv").open("w", newline="") as fh:
-            fh.write("chain,iteration,model,alpha,beta\n")
-            for s in range(self.n_draws):
-                c, k = divmod(s, K)
-                it = self._retained_iteration(k)
-                for i, model in enumerate(self.models):
-                    fh.write(
-                        f"{c},{it},{model},"
-                        f"{float(self.alpha[s, i])!r},{float(self.beta[s, i])!r}\n"
-                    )
+        write_long_csv(directory / "theta.csv",
+                       ("chain", "iteration", "model", "task", "theta"),
+                       (*draws, self.models, task_ids), (self.theta,))
+        write_long_csv(directory / "hyper.csv",
+                       ("chain", "iteration", "model", "alpha", "beta"),
+                       (*draws, self.models), (self.alpha, self.beta))
         (directory / "config.json").write_text(json.dumps(asdict(self.config), indent=2))
 
 
@@ -379,8 +364,7 @@ def _run_chain(
                     ) + y
 
                 y1 = slice_sample_step(
-                    g_alpha, math.log(alpha[i]), config.slice_width,
-                    config.slice_max_stepout, gen,
+                    g_alpha, math.log(alpha[i]), _SLICE_WIDTH, _SLICE_MAX_STEPOUT, gen
                 )
                 alpha[i] = math.exp(y1)
             if prior_b.kind != "fixed":
@@ -392,8 +376,7 @@ def _run_chain(
                     ) + y
 
                 y1 = slice_sample_step(
-                    g_beta, math.log(beta[i]), config.slice_width,
-                    config.slice_max_stepout, gen,
+                    g_beta, math.log(beta[i]), _SLICE_WIDTH, _SLICE_MAX_STEPOUT, gen
                 )
                 beta[i] = math.exp(y1)
 

@@ -10,7 +10,6 @@ substream, so the store does not depend on the order replicates are drawn in.
 
 from __future__ import annotations
 
-import gzip
 import os
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -19,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as _rng
-from .core import EvalTable, accuracy_of
+from .core import EvalTable, accuracy_of, write_long_csv
 from .errors import CapacityError, ValidationError
-from .normalize import NormalizationBounds, normalize_per_replicate, normalize_scores
+from .normalize import NormalizationBounds, normalize_scores
 from .weighting import UNWEIGHTED, WeightVector, resolve_task_weights
 
 __all__ = [
@@ -94,21 +93,12 @@ class ReplicateStore:
     def n_replicates(self) -> int:
         return self.replicates.shape[0]
 
-    def model_slice(self, model: str) -> np.ndarray:
-        """Replicates x tasks accuracy block for one model."""
-        return self.replicates[:, self.source.model_index(model), :]
-
     def to_csv(self, path) -> None:
         """Audit dump as ``replicate,model,task,accuracy``; .gz compresses."""
-        path = Path(path)
-        opener = gzip.open if path.suffix == ".gz" else open
         task_ids = [t.task_id for t in self.source.tasks]
-        with opener(path, "wt", newline="") as fh:
-            fh.write("replicate,model,task,accuracy\n")
-            for r in range(self.n_replicates):
-                for i, model in enumerate(self.source.models):
-                    for j, task in enumerate(task_ids):
-                        fh.write(f"{r},{model},{task},{float(self.replicates[r, i, j])!r}\n")
+        write_long_csv(path, ("replicate", "model", "task", "accuracy"),
+                       (range(self.n_replicates), self.source.models, task_ids),
+                       (self.replicates,))
 
 
 def draw_replicate(table: EvalTable, replicate_index: int, seed: int) -> np.ndarray:
@@ -127,7 +117,8 @@ def _draw(seed: int, r: int, sizes: np.ndarray, p_hat: np.ndarray) -> np.ndarray
 
 
 _MEMINFO = Path("/proc/meminfo")
-_CGROUP_MEMORY_MAX = Path("/sys/fs/cgroup/memory.max")
+_CGROUP_MEMORY_MAX = Path("/sys/fs/cgroup/memory.max")  # cgroup v2
+_CGROUP_V1_LIMIT = Path("/sys/fs/cgroup/memory/memory.limit_in_bytes")
 
 
 def _meminfo_available() -> int | None:
@@ -143,12 +134,21 @@ def _meminfo_available() -> int | None:
 
 
 def _cgroup_limit() -> int | None:
-    """The cgroup v2 ``memory.max`` in bytes, or None when unset or unreadable."""
-    try:
-        text = _CGROUP_MEMORY_MAX.read_text().strip()
-        return None if text == "max" else int(text)
-    except (OSError, ValueError):
-        return None
+    """The cgroup memory limit in bytes, or None when unset or unreadable.
+
+    Reads the cgroup v2 ``memory.max``, or when that file is absent the v1
+    ``memory.limit_in_bytes``.  An unlimited v1 group reports a number near
+    2**63, which caps nothing.
+    """
+    for path in (_CGROUP_MEMORY_MAX, _CGROUP_V1_LIMIT):
+        try:
+            text = path.read_text().strip()
+            return None if text == "max" else int(text)
+        except FileNotFoundError:
+            continue
+        except (OSError, ValueError):
+            return None
+    return None
 
 
 def _free_bytes() -> int | None:
@@ -225,22 +225,11 @@ def _replicate_statistics(
     model: str,
     weights: WeightVector | None,
     normalizer: NormalizationBounds | None,
-    per_replicate_bounds: bool,
 ) -> np.ndarray:
-    if per_replicate_bounds and normalizer is not None:
-        raise ValidationError(
-            "per-replicate bounds and a fixed normalizer are mutually exclusive"
-        )
-    i = store.source.model_index(model)
-    if per_replicate_bounds:
-        task_ids = [t.task_id for t in store.source.tasks]
-        values = normalize_per_replicate(store.replicates, task_ids)[:, i, :]
-    elif normalizer is not None:
-        values = normalize_scores(store.replicates[:, i, :], normalizer)
-    else:
-        values = store.replicates[:, i, :]
-    w = resolve_task_weights(weights, store.source.tasks)
-    return values @ w
+    values = store.replicates[:, store.source.model_index(model), :]
+    if normalizer is not None:
+        values = normalize_scores(values, normalizer)
+    return values @ resolve_task_weights(weights, store.source.tasks)
 
 
 def aggregate_interval(
@@ -248,16 +237,15 @@ def aggregate_interval(
     model: str,
     weights: WeightVector | None = UNWEIGHTED,
     normalizer: NormalizationBounds | None = None,
-    per_replicate_bounds: bool = False,
     level: float = DISPLAY_LEVEL,
 ) -> IntervalEstimate:
     """Percentile interval for one model's aggregate score.
 
-    Per replicate: optionally normalize per-task scores, then take the
-    weighted mean across tasks.  The point estimate is the mean of the
+    Per replicate: optionally normalize per-task scores against the fixed
+    ``normalizer`` bounds, then take the weighted mean across tasks.  The point estimate is the mean of the
     replicate statistics.
     """
-    stats = _replicate_statistics(store, model, weights, normalizer, per_replicate_bounds)
+    stats = _replicate_statistics(store, model, weights, normalizer)
     lower, upper = percentile_interval(stats, level)
     return IntervalEstimate(
         point=float(stats.mean()),
@@ -275,7 +263,6 @@ def pairwise_difference_intervals(
     comparisons: int | None = None,
     weights: WeightVector | None = UNWEIGHTED,
     normalizer: NormalizationBounds | None = None,
-    per_replicate_bounds: bool = False,
 ) -> list[tuple[tuple[str, str], IntervalEstimate]]:
     """Bonferroni-adjusted percentile intervals for score differences.
 
@@ -294,9 +281,7 @@ def pairwise_difference_intervals(
         )
     adjusted = 1.0 - (1.0 - level) / m
     stats = {
-        model: _replicate_statistics(
-            store, model, weights, normalizer, per_replicate_bounds
-        )
+        model: _replicate_statistics(store, model, weights, normalizer)
         for model in set(models)
     }
     results = []

@@ -75,6 +75,14 @@ class _Parser(argparse.ArgumentParser):
 # ------------------------------------------------------------- configuration
 
 
+def positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _add_common(p: _Parser, *, data: bool = True, outputs: bool = True) -> None:
     p.add_argument("--config", metavar="JSON",
                    help="JSON file of option defaults; flags override it")
@@ -94,7 +102,7 @@ def _add_common(p: _Parser, *, data: bool = True, outputs: bool = True) -> None:
                             "(default: %(default)s)")
     p.add_argument("--seed", type=int, default=0,
                    help="root seed for all random streams (default: %(default)s)")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=positive_int, default=1,
                    help="accepted for compatibility and must be >= 1; all "
                         "work runs in one thread (default: %(default)s)")
 
@@ -229,12 +237,22 @@ def _apply_config(argv, parser: _Parser, subs: dict[str, _Parser]):
     if not isinstance(loaded, dict):
         raise _UsageError(f"config {path} must be a JSON object")
     target = subs[command]
-    known = {action.dest for action in target._actions}
+    actions = {action.dest: action for action in target._actions}
     defaults = {}
     for key, value in loaded.items():
         dest = key.replace("-", "_")
-        if dest not in known:
+        if dest not in actions:
             raise _UsageError(f"config {path}: unknown option {key!r}")
+        action = actions[dest]
+        # argparse converts and checks only the values it parses, so a
+        # config value goes through the same type and choices as its flag.
+        if value is not None:
+            try:
+                if action.type is not None:
+                    value = target._get_value(action, str(value))
+                target._check_value(action, value)
+            except argparse.ArgumentError as exc:
+                target.error(f"config {path}: {exc}")
         defaults[dest] = value
     target.set_defaults(**defaults)
 
@@ -686,15 +704,9 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subs = build_parser()
     try:
-        _apply_config(argv, parser, subs)
         try:
+            _apply_config(argv, parser, subs)
             args = parser.parse_args(argv)
-            workers = getattr(args, "workers", 1)
-            if not (isinstance(workers, int) and workers >= 1):
-                # Checked here so that a --config value is checked too.
-                subs[args.command].error(
-                    f"argument --workers: must be an integer >= 1, got {workers!r}"
-                )
         except SystemExit as exc:  # argparse already printed its message
             return int(exc.code or 0)
         if getattr(args, "command", None) is None:

@@ -8,6 +8,8 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import csv
+import gzip
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -182,6 +184,23 @@ def read_csv_rows(path, columns=None) -> tuple[list[str], list[tuple[int, list[s
             f"{canonical!r} (accepted spellings: {accepted!r})"
         )
     return header, rows[1:]
+
+
+def write_long_csv(path, header, axes, columns) -> None:
+    """Write arrays as a long-format CSV, one row per array cell.
+
+    ``axes`` holds the labels along each array axis; rows run over their
+    product in C order.  ``columns`` holds one array per value column, each
+    with one entry per row.  Values are written with ``repr``, which reads
+    back bit-exact.  A ``.gz`` suffix gzips the file.
+    """
+    path = Path(path)
+    opener = gzip.open if path.suffix == ".gz" else open
+    keys = map(",".join, itertools.product(*([str(v) for v in ax] for ax in axes)))
+    values = map(",".join, zip(*(map(repr, np.ravel(c).tolist()) for c in columns)))
+    with opener(path, "wt", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(f"{key},{row}\n" for key, row in zip(keys, values))
 
 
 def load_task_file(path) -> tuple[TaskSpec, ...]:

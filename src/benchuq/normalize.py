@@ -24,7 +24,6 @@ __all__ = [
     "NormalizationBounds",
     "estimate_bounds",
     "normalize_scores",
-    "normalize_per_replicate",
 ]
 
 
@@ -122,23 +121,3 @@ def normalize_scores(values: np.ndarray, bounds: NormalizationBounds) -> np.ndar
         )
         np.clip(out, 0.0, 1.0, out=out)
     return out
-
-
-def normalize_per_replicate(replicates: np.ndarray, task_ids) -> np.ndarray:
-    """Normalize each replicate against its own cross-model extremes.
-
-    Alternative to store-wide bounds: for replicate b and task j the anchors
-    are ``min_i`` and ``max_i`` of that replicate's accuracies.  Raises a
-    degenerate-bounds error if any replicate has all models identical on a
-    task.
-    """
-    reps = np.asarray(replicates, dtype=float)
-    if reps.ndim != 3:
-        raise ValidationError("expected a replicates x models x tasks array")
-    low = reps.min(axis=1, keepdims=True)
-    high = reps.max(axis=1, keepdims=True)
-    degenerate = np.flatnonzero((high == low).any(axis=(0, 1)))
-    if degenerate.size:
-        task_ids = tuple(task_ids)
-        raise DegenerateBoundsError(task_ids[degenerate[0]])
-    return (reps - low) / (high - low)

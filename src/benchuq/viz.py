@@ -1,4 +1,4 @@
-"""Static SVG rendering: ternary winner fields, forest plots, rank bars.
+"""Static SVG rendering of ternary winner fields.
 
 Everything here is deterministic: no timestamps, no generated ids, fixed
 number formatting — identical inputs produce byte-identical SVG 1.1
@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from xml.sax.saxutils import escape
 
-import numpy as np
-
 from .errors import ValidationError
 from .weighting import INDETERMINATE, SimplexField
 
@@ -28,8 +26,6 @@ __all__ = [
     "INDETERMINATE_COLOR",
     "RenderSpec",
     "render_ternary",
-    "render_forest",
-    "render_rank_bars",
 ]
 
 # Colorblind-safe palette (Okabe-Ito plus Tol muted picks), assigned to
@@ -60,12 +56,10 @@ _FONT = 'font-family="Helvetica, Arial, sans-serif"'
 
 @dataclass(frozen=True)
 class RenderSpec:
-    """Rendering options shared by all chart types.
+    """Rendering options for ternary winner fields.
 
-    ``width`` applies everywhere; ``height`` sizes the ternary canvas, while
-    forest and rank-bar charts grow vertically with their content.
-    ``axis_labels`` overrides the three category names on ternary plots (in
-    the field's category order).
+    ``width`` and ``height`` size the canvas.  ``axis_labels`` overrides the
+    three category names (in the field's category order).
     """
 
     width: int = 720
@@ -90,28 +84,11 @@ def _document(width: float, height: float, body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def _text(x, y, s, size=12, anchor="start", color="#111111", bold=False):
-    weight = ' font-weight="bold"' if bold else ""
+def _text(x, y, s, size=12, anchor="start", color="#111111"):
     return (
         f'<text x="{_fmt(x)}" y="{_fmt(y)}" {_FONT} font-size="{size}" '
-        f'text-anchor="{anchor}" fill="{color}"{weight}>{escape(s)}</text>'
+        f'text-anchor="{anchor}" fill="{color}">{escape(s)}</text>'
     )
-
-
-def _line(x1, y1, x2, y2, color="#111111", width=1):
-    return (
-        f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-        f'stroke="{color}" stroke-width="{width}"/>'
-    )
-
-
-def _finish(doc: str, path) -> str:
-    if path is not None:
-        Path(path).write_text(doc)
-    return doc
-
-
-# ------------------------------------------------------------------ ternary
 
 
 def _clip_halfplane(points, a, b):
@@ -256,149 +233,7 @@ def render_ternary(
             color="#444444",
         )
     )
-    return _finish(_document(spec.width, base_y + caption_h + 22, body), path)
-
-
-# ------------------------------------------------------------------- forest
-
-
-def render_forest(
-    rows, spec: RenderSpec = RenderSpec(), fixed_order: bool = False, path=None
-) -> str:
-    """Render (label, IntervalEstimate) rows as horizontal interval bars.
-
-    Rows are sorted by point estimate, best first, unless ``fixed_order``.
-    """
-    rows = list(rows)
-    if not rows:
-        raise ValidationError("render_forest needs at least one row")
-    for label, est in rows:
-        if not all(map(math.isfinite, (est.point, est.lower, est.upper))):
-            raise ValidationError(f"non-finite interval for {label!r}")
-    if not fixed_order:
-        rows = sorted(
-            enumerate(rows), key=lambda item: (-item[1][1].point, item[0])
-        )
-        rows = [r for _, r in rows]
-
-    pad = 20.0
-    label_w = pad + max(len(label) for label, _ in rows) * 7.0 + 10
-    value_w = 150.0
-    row_h = 26.0
-    axis_h = 34.0
-    plot_w = spec.width - label_w - value_w - pad
-    height = 2 * pad + len(rows) * row_h + axis_h
-
-    lo = min(est.lower for _, est in rows)
-    hi = max(est.upper for _, est in rows)
-    if hi == lo:
-        lo, hi = lo - 1.0, hi + 1.0
-    span = hi - lo
-    lo -= 0.04 * span
-    hi += 0.04 * span
-
-    def x(v):
-        return label_w + (v - lo) / (hi - lo) * plot_w
-
-    body = []
-    for i, (label, est) in enumerate(rows):
-        y = pad + (i + 0.5) * row_h
-        body.append(_text(label_w - 8, y + 4, label, anchor="end"))
-        if est.upper > est.lower:
-            body.append(_line(x(est.lower), y, x(est.upper), y, "#333333", 2))
-            for v in (est.lower, est.upper):
-                body.append(_line(x(v), y - 5, x(v), y + 5, "#333333", 2))
-        body.append(
-            f'<circle cx="{_fmt(x(est.point))}" cy="{_fmt(y)}" r="3.5" '
-            'fill="#111111"/>'
-        )
-        body.append(
-            _text(
-                label_w + plot_w + 10,
-                y + 4,
-                f"{est.point:.4g} ({est.lower:.4g}, {est.upper:.4g})",
-                size=11,
-                color="#444444",
-            )
-        )
-
-    axis_y = pad + len(rows) * row_h + 10
-    body.append(_line(label_w, axis_y, label_w + plot_w, axis_y))
-    for v in np.linspace(lo, hi, 5):
-        body.append(_line(x(v), axis_y, x(v), axis_y + 5))
-        body.append(
-            _text(x(v), axis_y + 18, f"{v:.4g}", size=10, anchor="middle")
-        )
-    return _finish(_document(spec.width, height, body), path)
-
-
-# ---------------------------------------------------------------- rank bars
-
-
-def render_rank_bars(
-    probabilities, spec: RenderSpec = RenderSpec(), models=None, path=None
-) -> str:
-    """Render per-model rank-probability bar panels.
-
-    ``probabilities[i, k]`` is model i's probability of holding rank k+1;
-    every row must sum to 1 (within 1e-9).  Panel i is colored with the
-    i-th palette entry, so pass rows in leaderboard order.
-    """
-    probs = np.asarray(probabilities, dtype=float)
-    if probs.ndim != 2:
-        raise ValidationError("expected a models x ranks probability matrix")
-    n_models, n_ranks = probs.shape
-    bad = np.abs(probs.sum(axis=1) - 1.0) > 1e-9
-    if probs.min() < -1e-12 or bad.any():
-        row = int(np.argmax(bad)) if bad.any() else int(np.argmin(probs.min(axis=1)))
-        raise ValidationError(f"row {row} is not a probability distribution")
-    if models is None:
-        models = tuple(f"model_{i}" for i in range(n_models))
-    if len(models) != n_models:
-        raise ValidationError(f"{len(models)} names for {n_models} models")
-    if n_models > len(spec.palette):
-        raise ValidationError(
-            f"palette has {len(spec.palette)} colors for {n_models} models"
-        )
-
-    pad = 20.0
-    gap = 18.0
-    ncols = min(4, n_models)
-    nrows = math.ceil(n_models / ncols)
-    panel_w = (spec.width - 2 * pad - (ncols - 1) * gap) / ncols
-    title_h = 16.0
-    bars_h = 84.0
-    ticks_h = 16.0
-    panel_h = title_h + bars_h + ticks_h
-    height = 2 * pad + nrows * panel_h + (nrows - 1) * gap
-
-    body = []
-    for i in range(n_models):
-        px = pad + (i % ncols) * (panel_w + gap)
-        py = pad + (i // ncols) * (panel_h + gap)
-        base = py + title_h + bars_h
-        body.append(_text(px, py + 11, models[i], size=11, bold=True))
-        slot = panel_w / n_ranks
-        bar_w = slot * 0.8
-        for k in range(n_ranks):
-            h = probs[i, k] * bars_h
-            bx = px + k * slot + slot * 0.1
-            body.append(
-                f'<rect x="{_fmt(bx)}" y="{_fmt(base - h)}" '
-                f'width="{_fmt(bar_w)}" height="{_fmt(h)}" '
-                f'fill="{spec.palette[i]}"/>'
-            )
-            rank = k + 1
-            if n_ranks <= 8 or rank == 1 or rank == n_ranks or rank % 5 == 0:
-                body.append(
-                    _text(
-                        bx + bar_w / 2,
-                        base + 12,
-                        str(rank),
-                        size=9,
-                        anchor="middle",
-                        color="#444444",
-                    )
-                )
-        body.append(_line(px, base, px + panel_w, base))
-    return _finish(_document(spec.width, height, body), path)
+    doc = _document(spec.width, base_y + caption_h + 22, body)
+    if path is not None:
+        Path(path).write_text(doc)
+    return doc

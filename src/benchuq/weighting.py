@@ -237,11 +237,8 @@ class SimplexField:
 
     def winners(self) -> tuple[str, ...]:
         """Distinct determinate winners in first-appearance order."""
-        seen: dict[str, None] = {}
-        for cell in self.cells:
-            if cell.winner != INDETERMINATE:
-                seen.setdefault(cell.winner, None)
-        return tuple(seen)
+        winners = (cell.winner for cell in self.cells if cell.winner != INDETERMINATE)
+        return tuple(dict.fromkeys(winners))
 
     def to_csv(self, path=None) -> str:
         """Write cells as ``w_nat,w_sp,w_str,winner,margin_se`` rows.
@@ -263,6 +260,32 @@ class SimplexField:
         return text
 
 
+def _top_two(scores: np.ndarray, variances: np.ndarray, z: float, rho: float):
+    """The top-two margin rule over rows of (rows x models) score arrays.
+
+    Returns each row's winning index (-1 when indeterminate) and its margin
+    in SE units; see :func:`decide_winner` for the rule.
+    """
+    order = np.argsort(-scores, axis=1, kind="stable")
+    ranked = np.take_along_axis(scores, order, axis=1)
+    top, first, second = order[:, 0], ranked[:, 0], ranked[:, 1]
+    # Descending order makes the tie test a prefix of each row, which is
+    # where a scan from the runner-up down would stop.
+    tied = second[:, None] - ranked[:, 1:] <= _TIE_RTOL * np.abs(first)[:, None]
+    ranked_vars = np.take_along_axis(variances, order, axis=1)
+    var_top, var_k = ranked_vars[:, :1], ranked_vars[:, 1:]
+    # Same operation order as difference_se, clamped the same way.
+    radicand = var_top + var_k - 2.0 * rho * np.sqrt(var_top * var_k)
+    se = np.sqrt(np.maximum(radicand, 0.0))
+    gap = first[:, None] - ranked[:, 1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(se > 0, gap / se, math.inf)
+    margin = np.where(tied, ratio, math.inf).min(axis=1)
+    exact_tie = second == first
+    margin[exact_tie] = 0.0
+    return np.where(~exact_tie & (margin >= z), top, -1), margin
+
+
 def decide_winner(
     scores: np.ndarray, variances: np.ndarray, z: float, rho: float
 ) -> tuple[int | None, float]:
@@ -274,21 +297,9 @@ def decide_winner(
     indeterminate.  Returns (index or None, margin in SE units); a zero SE
     with a positive gap yields an infinite margin.
     """
-    order = np.argsort(-scores, kind="stable")
-    top = order[0]
-    if scores[order[1]] == scores[top]:
-        return None, 0.0
-    tie_tol = _TIE_RTOL * abs(scores[top])
-    margin = math.inf
-    for k in order[1:]:
-        if scores[order[1]] - scores[k] > tie_tol:
-            break
-        se = difference_se(variances[top], variances[k], rho)
-        gap = scores[top] - scores[k]
-        margin = min(margin, gap / se if se > 0 else math.inf)
-    if margin >= z:
-        return int(top), margin
-    return None, margin
+    idx, margin = _top_two(np.asarray(scores, dtype=float)[None],
+                           np.asarray(variances, dtype=float)[None], z, rho)
+    return (int(idx[0]) if idx[0] >= 0 else None), float(margin[0])
 
 
 def simplex_scan(
@@ -314,18 +325,17 @@ def simplex_scan(
         raise ValidationError(
             f"simplex scan needs exactly 3 categories, got {len(categories)}"
         )
-    steps = round(1.0 / grid_step)
-    if not 0 < grid_step <= 1 or abs(steps * grid_step - 1.0) > 1e-9:
+    steps = round(1.0 / grid_step) if 0 < grid_step <= 1 else 0
+    if steps == 0 or abs(steps * grid_step - 1.0) > 1e-9:
         raise ValidationError(f"grid step {grid_step} does not divide 1")
+    if not -1.0 <= rho <= 1.0:
+        raise ValidationError(f"rho must lie in [-1, 1], got {rho}")
 
     acc = accuracy_of(table).values
-    sizes = table.sizes
     n_models = len(table.models)
-    raw_vars = acc * (1.0 - acc) / sizes[None, :]
+    raw_vars = acc * (1.0 - acc) / table.sizes[None, :]
     if normalizer is not None:
-        span = np.asarray(normalizer.high, dtype=float) - np.asarray(
-            normalizer.low, dtype=float
-        )
+        span = normalizer.high - normalizer.low
         scores = normalize_scores(acc, normalizer)
         task_vars = raw_vars / span[None, :] ** 2
     else:
@@ -338,20 +348,24 @@ def simplex_scan(
         cat_means[:, k] = scores[:, cols].mean(axis=1)
         cat_vars[:, k] = task_vars[:, cols].sum(axis=1) / cols.size**2
 
-    cells = []
-    for a in range(steps + 1):
-        for b in range(steps + 1 - a):
-            c = steps - a - b
-            w = np.array([a, b, c], dtype=float) / steps
-            scores = cat_means @ w
-            variances = cat_vars @ w**2
-            idx, margin = decide_winner(scores, variances, z, rho)
-            winner = table.models[idx] if idx is not None else INDETERMINATE
-            cells.append(SimplexCell(weights=tuple(w), winner=winner, margin=margin))
+    # Grid counts (a, b, steps - a - b), a ascending, then b ascending.
+    a, ab = np.triu_indices(steps + 1)
+    W = np.stack([a, ab - a, steps - ab], axis=1) / steps
+    # The stacked matmul matches a per-cell ``cat_means @ w`` to the last bit
+    # (``W @ cat_means.T`` does not), which keeps winner maps byte-identical.
+    cell_scores = np.matmul(cat_means[None], W[:, :, None])[..., 0]
+    cell_vars = np.matmul(cat_vars[None], (W**2)[:, :, None])[..., 0]
+    idx, margins = _top_two(cell_scores, cell_vars, z, rho)
+    # Index -1 (indeterminate) picks the label appended after the models.
+    names = np.array(table.models + (INDETERMINATE,), dtype=object)[idx]
+    cells = tuple(
+        SimplexCell(weights=tuple(w), winner=winner, margin=margin)
+        for w, winner, margin in zip(W.tolist(), names, margins.tolist())
+    )
     return SimplexField(
         categories=categories,
         grid_step=grid_step,
         z=z,
         rho=rho,
-        cells=tuple(cells),
+        cells=cells,
     )

@@ -134,6 +134,7 @@ class TestRunBootstrap:
         limit = tmp_path / "memory.max"
         monkeypatch.setattr(bootstrap, "_MEMINFO", meminfo)
         monkeypatch.setattr(bootstrap, "_CGROUP_MEMORY_MAX", limit)
+        monkeypatch.setattr(bootstrap, "_CGROUP_V1_LIMIT", tmp_path / "absent")
         assert bootstrap._meminfo_available() == 7 * 1024
         assert bootstrap._cgroup_limit() is None  # no such file
         limit.write_text("max\n")
@@ -142,6 +143,22 @@ class TestRunBootstrap:
         assert bootstrap._cgroup_limit() == 4096
         meminfo.write_text("MemTotal: 16 kB\n")
         assert bootstrap._meminfo_available() is None
+
+    def test_cgroup_v1_limit_read_when_v2_file_is_absent(self, monkeypatch, tmp_path):
+        v2 = tmp_path / "memory.max"
+        v1 = tmp_path / "memory.limit_in_bytes"
+        monkeypatch.setattr(bootstrap, "_CGROUP_MEMORY_MAX", v2)
+        monkeypatch.setattr(bootstrap, "_CGROUP_V1_LIMIT", v1)
+        v1.write_text("8192\n")
+        assert bootstrap._cgroup_limit() == 8192
+        v1.write_text("junk\n")
+        assert bootstrap._cgroup_limit() is None
+        # The v2 file wins when both exist, "max" included.
+        v1.write_text("8192\n")
+        v2.write_text("max\n")
+        assert bootstrap._cgroup_limit() is None
+        v2.write_text("4096\n")
+        assert bootstrap._cgroup_limit() == 4096
 
     def test_invalid_b_rejected(self):
         with pytest.raises(ValidationError, match=">= 1"):
@@ -246,12 +263,6 @@ class TestAggregateInterval:
         with pytest.raises(KeyError, match="Z"):
             aggregate_interval(store, "Z")
 
-    def test_normalizer_and_per_replicate_flag_are_exclusive(self):
-        store = run_bootstrap(sim_study_table(), B=10, seed=1)
-        bounds = estimate_bounds(store)
-        with pytest.raises(ValidationError, match="mutually exclusive"):
-            aggregate_interval(store, "A", normalizer=bounds, per_replicate_bounds=True)
-
     def test_store_bound_normalization_stays_inside_unit_interval(self):
         table = table_of([[100, 5000], [115, 5500], [80, 4000]], [200, 10000])
         store = run_bootstrap(table, B=1_000, seed=6)
@@ -259,14 +270,6 @@ class TestAggregateInterval:
         for model in ("A", "B", "C"):
             est = aggregate_interval(store, model, normalizer=bounds)
             assert 0.0 <= est.lower <= est.point <= est.upper <= 1.0
-
-    def test_per_replicate_bounds_pin_extreme_models(self):
-        # With per-replicate extremes, the best model on every task of every
-        # replicate normalizes to exactly 1.
-        table = table_of([[190, 195], [100, 100], [10, 5]], [200, 200])
-        store = run_bootstrap(table, B=200, seed=7)
-        est = aggregate_interval(store, "A", per_replicate_bounds=True)
-        assert est.point == pytest.approx(1.0, abs=1e-12)
 
     def test_empirical_variance_matches_analytic_formula(self):
         # Analytic Var[S] under independence vs replicate variance at B=10k.

@@ -138,6 +138,35 @@ def test_config_missing_file_is_usage_error(tmp_path):
     assert run(argv) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "command, config, flag",
+    [
+        ("bootstrap", {"replicates": 2.5}, "--replicates"),
+        ("ranks", {"scheme": "nope"}, "--scheme"),
+    ],
+)
+def test_config_value_of_wrong_type_or_choice_is_usage_error(
+    command, config, flag, tmp_path, capsys
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    argv = [command, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+    assert run(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "usage:" in err and flag in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_string_values_are_converted(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": "3", "replicates": 20}))
+    out = tmp_path / "out"
+    argv = ["bootstrap", "--config", str(cfg), "--formats", "json", "--out-dir", str(out)]
+    assert run(argv) == EXIT_OK
+    payload = json.loads((out / "bootstrap.json").read_text())
+    assert (payload["seed"], payload["replicates"]) == (3, 20)
+
+
 @pytest.mark.parametrize("command", ["bootstrap", "bhm"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_zero_workers_is_usage_error(command, source, tmp_path, capsys):
@@ -312,6 +341,21 @@ def test_simplex_normalized_variant(tmp_path):
     names = {p.name for p in out.iterdir()}
     assert "simplex_2_0.svg" in names
     assert "simplex_2_0.csv" not in names
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--grid-step", "0"], "does not divide 1"),
+        (["--z", "2", "--rho", "2"], "rho must lie in"),
+        (["--z", "2", "--rho", "-1.5"], "rho must lie in"),
+    ],
+)
+def test_simplex_bad_flag_values_are_data_errors(flags, message, tmp_path, capsys):
+    argv = ["simplex", "--out-dir", str(tmp_path / "out"), *flags]
+    assert run(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_report_without_bhm(tmp_path, capsys):

@@ -9,7 +9,6 @@ from benchuq.errors import DegenerateBoundsError, ValidationError
 from benchuq.normalize import (
     NormalizationBounds,
     estimate_bounds,
-    normalize_per_replicate,
     normalize_scores,
 )
 
@@ -156,27 +155,3 @@ class TestNormalizeScores:
                 rankdata(out[:, j], method="average"),
                 rankdata(values[:, j], method="average"),
             )
-
-
-class TestPerReplicateNormalization:
-    def test_each_replicate_hits_zero_and_one(self):
-        reps = np.array(
-            [
-                [[0.31, 0.50], [0.60, 0.55]],
-                [[0.45, 0.40], [0.74, 0.62]],
-            ]
-        )
-        out = normalize_per_replicate(reps, ("t1", "t2"))
-        assert np.all(out.min(axis=1) == 0.0)
-        assert np.all(out.max(axis=1) == 1.0)
-        # Replicate 0, task 0: (0.31, 0.60) -> (0, 1).
-        assert out[0, :, 0].tolist() == [0.0, 1.0]
-
-    def test_degenerate_replicate_named(self):
-        reps = np.array([[[0.31, 0.5], [0.31, 0.55]]])
-        with pytest.raises(DegenerateBoundsError, match="t1"):
-            normalize_per_replicate(reps, ("t1", "t2"))
-
-    def test_wrong_rank_rejected(self):
-        with pytest.raises(ValidationError, match="replicates"):
-            normalize_per_replicate(np.zeros((2, 2)), ("t1", "t2"))

@@ -6,15 +6,12 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from benchuq.bootstrap import IntervalEstimate
 from benchuq.core import EvalTable, TaskSpec
 from benchuq.errors import ValidationError
 from benchuq.viz import (
     INDETERMINATE_COLOR,
     PALETTE,
     RenderSpec,
-    render_forest,
-    render_rank_bars,
     render_ternary,
 )
 from benchuq.weighting import INDETERMINATE, SimplexCell, SimplexField, simplex_scan
@@ -165,128 +162,3 @@ def test_ternary_writes_file(tmp_path):
     out = tmp_path / "simplex_2_0.svg"
     text = render_ternary(lattice_field(), path=out)
     assert out.read_text() == text
-
-
-# ------------------------------------------------------------------- forest
-
-
-def est(point, lower, upper):
-    return IntervalEstimate(
-        point=point, lower=lower, upper=upper, level=0.834,
-        method="bootstrap-percentile",
-    )
-
-
-def test_forest_sorted_by_point_descending():
-    rows = [("low", est(1.0, 0.5, 1.5)), ("high", est(3.0, 2.5, 3.5)),
-            ("mid", est(2.0, 1.5, 2.5))]
-    svg = render_forest(rows)
-    root = ET.fromstring(svg)
-    labels = [t.text for t in root.findall(f".//{SVG}text")
-              if t.text in ("low", "mid", "high")]
-    assert labels == ["high", "mid", "low"]
-    fixed = render_forest(rows, fixed_order=True)
-    root = ET.fromstring(fixed)
-    labels = [t.text for t in root.findall(f".//{SVG}text")
-              if t.text in ("low", "mid", "high")]
-    assert labels == ["low", "high", "mid"]
-
-
-def test_forest_separated_bars_do_not_overlap_horizontally():
-    # Mirrors a leaderboard where the top bar's lower end clears the bottom
-    # bar's upper end: their drawn spans must not intersect.
-    rows = [("SR", est(68.0, 67.8, 68.1)), ("Rot", est(60.4, 60.3, 60.6))]
-    svg = render_forest(rows)
-    root = ET.fromstring(svg)
-    lines = [
-        (float(ln.get("x1")), float(ln.get("x2")))
-        for ln in root.findall(f".//{SVG}line")
-        if ln.get("y1") == ln.get("y2") and ln.get("stroke") == "#333333"
-    ]
-    assert len(lines) == 2
-    spans = sorted(lines)
-    assert spans[0][1] < spans[1][0]
-
-
-def test_forest_degenerate_interval_marker_only():
-    svg = render_forest([("pt", est(5.0, 5.0, 5.0))])
-    root = ET.fromstring(svg)
-    bars = [ln for ln in root.findall(f".//{SVG}line")
-            if ln.get("stroke") == "#333333"]
-    assert bars == []
-    assert len(root.findall(f".//{SVG}circle")) == 1
-
-
-def test_forest_single_row_and_annotation():
-    svg = render_forest([("a", est(2.0, 1.0, 3.0))])
-    assert "2 (1, 3)" in svg
-    ET.fromstring(svg)
-
-
-def test_forest_rejects_non_finite_and_empty():
-    with pytest.raises(ValidationError, match="at least one row"):
-        render_forest([])
-    bad = IntervalEstimate(point=math.nan, lower=1.0, upper=2.0, level=0.834,
-                           method="bootstrap-percentile")
-    with pytest.raises(ValidationError, match="non-finite"):
-        render_forest([("x", bad)])
-
-
-def test_forest_deterministic():
-    rows = [("m1", est(1.0, 0.9, 1.1)), ("m2", est(1.05, 0.95, 1.15))]
-    assert render_forest(rows) == render_forest(rows)
-
-
-# ---------------------------------------------------------------- rank bars
-
-
-def test_rank_bars_point_mass_one_full_bar_each():
-    svg = render_rank_bars(np.eye(3), models=("a", "b", "c"))
-    root = ET.fromstring(svg)
-    rects = root.findall(f".//{SVG}rect")
-    heights = sorted(float(r.get("height")) for r in rects)
-    assert len(rects) == 9
-    assert heights[:6] == [0.0] * 6
-    assert heights[6:] == [84.0] * 3
-
-
-def test_rank_bars_uniform_flat():
-    svg = render_rank_bars(np.full((4, 4), 0.25))
-    root = ET.fromstring(svg)
-    heights = {float(r.get("height")) for r in root.findall(f".//{SVG}rect")}
-    assert heights == {21.0}
-
-
-def test_rank_bars_panel_colors_follow_palette_order():
-    svg = render_rank_bars(np.eye(2), models=("first", "second"))
-    root = ET.fromstring(svg)
-    fills = {r.get("fill") for r in root.findall(f".//{SVG}rect")}
-    assert fills == {PALETTE[0], PALETTE[1]}
-
-
-def test_rank_bars_validation():
-    with pytest.raises(ValidationError, match="probability"):
-        render_rank_bars(np.array([[0.5, 0.4], [0.5, 0.5]]))
-    with pytest.raises(ValidationError, match="probability"):
-        render_rank_bars(np.array([[1.5, -0.5], [0.5, 0.5]]))
-    with pytest.raises(ValidationError, match="matrix"):
-        render_rank_bars(np.ones(3))
-    with pytest.raises(ValidationError, match="names"):
-        render_rank_bars(np.eye(2), models=("only",))
-    with pytest.raises(ValidationError, match="palette"):
-        render_rank_bars(np.eye(17) if len(PALETTE) == 16 else np.eye(99))
-
-
-def test_rank_bars_sixteen_models_fit_palette_exactly():
-    svg = render_rank_bars(np.eye(16))
-    root = ET.fromstring(svg)
-    fills = {r.get("fill") for r in root.findall(f".//{SVG}rect")}
-    assert fills == set(PALETTE)
-
-
-def test_rank_bars_deterministic_and_writes(tmp_path):
-    probs = np.full((3, 3), 1 / 3)
-    out = tmp_path / "ranks.svg"
-    text = render_rank_bars(probs, path=out)
-    assert out.read_text() == text
-    assert render_rank_bars(probs) == text
