@@ -5,7 +5,16 @@ theta_ij | alpha_i, beta_i ~ Beta(alpha_i, beta_i) and independent
 hyperpriors on every model's (alpha_i, beta_i).  The theta updates are
 conjugate Beta draws; the hyperparameter conditionals are not recognizable
 distributions, so each alpha_i and beta_i moves by one univariate slice
-step (stepping-out and shrinkage) per sweep.
+step (stepping-out and shrinkage, Neal 2003) per sweep.
+
+A sweep runs every chain and every model in lockstep on chains x models
+arrays: the conjugate theta draw, then one slice step of every free alpha,
+then one of every free beta.  Given theta, the alpha_i are conditionally
+independent across models (and the beta_i given theta and alpha), and
+chains are independent, so each block of side-by-side slice steps is one
+valid Gibbs step: every coordinate follows exactly the transition of
+:func:`slice_sample_step`, with masks marking the coordinates still
+stepping out or still shrinking.
 
 Slice steps run on the log-transformed hyperparameter with the +log(x)
 Jacobian term, because alpha and beta range over orders of magnitude and a
@@ -65,6 +74,15 @@ _SHRINK_BUDGET = 200
 _SLICE_WIDTH = 1.0
 _SLICE_MAX_STEPOUT = 50
 
+# Shrinkage proposals each chain draws up front, per coordinate, in its one
+# block of uniforms per slice update; a coordinate still pending after that
+# many rejections draws one more uniform per round.  A step takes ~3 on the
+# fixture and ~8 under the simulation study's tight priors.
+_SHRINK_PREDRAWN = 12
+
+# Stepping-out direction of the left and right slice ends.
+_OUTWARD = np.array([-_SLICE_WIDTH, _SLICE_WIDTH])[:, None, None]
+
 # Keeps log(theta) and log1p(-theta) finite when a conjugate draw rounds
 # to an endpoint in floating point.
 _THETA_EPS = 1e-12
@@ -109,15 +127,24 @@ class PriorSpec:
         """Point mass: pins the hyperparameter, disabling its slice step."""
         return cls(kind="fixed", value=value)
 
+    def coefficients(self) -> tuple[float, float, float, float]:
+        """(log rate, rate, mu, 1/sigma) of the log density; 0 where a kind has none.
+
+        The log density is log_rate - rate x - ((x - mu) / sigma)^2 / 2 for
+        both kinds that have one, so arrays of these coefficients evaluate a
+        mix of priors with one expression.
+        """
+        if self.kind == "exponential":
+            return (math.log(self.rate), self.rate, 0.0, 0.0)
+        if self.kind == "truncated_normal":
+            return (0.0, 0.0, self.mu, 1.0 / self.sigma)
+        raise ValidationError("fixed priors have no density to evaluate")
+
     def log_density(self, x: float) -> float:
         """Log prior density at x, up to an additive constant; -inf off support."""
         if x <= 0:
             return -math.inf
-        if self.kind == "exponential":
-            return math.log(self.rate) - self.rate * x
-        if self.kind == "truncated_normal":
-            return -0.5 * ((x - self.mu) / self.sigma) ** 2
-        raise ValidationError("fixed priors have no density to evaluate")
+        return float(_log_prior(x, *self.coefficients()))
 
     def initial_value(self) -> float:
         return self.value if self.kind == "fixed" else 2.0
@@ -213,16 +240,21 @@ def gibbs_theta_update(Y, N, alpha, beta, rng: np.random.Generator):
     return rng.beta(np.add(alpha, Y), np.add(beta, np.subtract(N, Y)))
 
 
-def _log_conditional(x: float, other: float, log_sum: float, n_tasks: int,
-                     prior: PriorSpec, x_is_alpha: bool) -> float:
-    if x <= 0:
-        return -math.inf
-    a, b = (x, other) if x_is_alpha else (other, x)
-    return (
-        prior.log_density(x)
-        + (x - 1.0) * log_sum
-        - n_tasks * float(betaln(a, b))
-    )
+def _log_prior(x, log_rate, rate, mu, inv_sigma):
+    """Log prior density from :meth:`PriorSpec.coefficients`; broadcasts."""
+    return log_rate - rate * x - 0.5 * ((x - mu) * inv_sigma) ** 2
+
+
+def _log_conditional(x, other, log_sum, n_tasks, prior):
+    """Log full conditional of a hyperparameter x > 0, up to a constant; broadcasts.
+
+    log prior(x) + (x - 1) log_sum - n_tasks log B(x, other), where
+    ``prior`` holds the four :meth:`PriorSpec.coefficients` (scalars or
+    arrays) and ``log_sum`` is sum_j log theta_j for alpha and
+    sum_j log(1 - theta_j) for beta.  log B is symmetric, so one expression
+    serves both.
+    """
+    return _log_prior(x, *prior) + (x - 1.0) * log_sum - n_tasks * betaln(x, other)
 
 
 def log_conditional_alpha(alpha: float, beta: float, thetas, prior: PriorSpec) -> float:
@@ -232,18 +264,20 @@ def log_conditional_alpha(alpha: float, beta: float, thetas, prior: PriorSpec) -
                          - J log B(alpha, beta);
     returns -inf for alpha <= 0 so the slice sampler sees the support edge.
     """
+    if alpha <= 0:
+        return -math.inf
     thetas = np.asarray(thetas, dtype=float)
-    return _log_conditional(
-        alpha, beta, float(np.log(thetas).sum()), thetas.size, prior, x_is_alpha=True
-    )
+    return float(_log_conditional(alpha, beta, np.log(thetas).sum(), thetas.size,
+                                  prior.coefficients()))
 
 
 def log_conditional_beta(alpha: float, beta: float, thetas, prior: PriorSpec) -> float:
     """Symmetric counterpart of log_conditional_alpha, driven by log(1 - theta)."""
+    if beta <= 0:
+        return -math.inf
     thetas = np.asarray(thetas, dtype=float)
-    return _log_conditional(
-        beta, alpha, float(np.log1p(-thetas).sum()), thetas.size, prior, x_is_alpha=False
-    )
+    return float(_log_conditional(beta, alpha, np.log1p(-thetas).sum(), thetas.size,
+                                  prior.coefficients()))
 
 
 def slice_sample_step(
@@ -260,7 +294,9 @@ def slice_sample_step(
     split randomly between the two directions, which keeps the transition
     reversible), then samples uniformly on the bracket, shrinking it toward
     x0 on each rejection.  The return value always satisfies
-    logdensity(x1) >= u.
+    logdensity(x1) >= u.  This is the scalar reference for the lockstep
+    kernel that :func:`fit_bhm` runs; the tests hold the two to the same
+    path when fed the same uniforms.
     """
     logp0 = logdensity(x0)
     if not np.isfinite(logp0):
@@ -316,75 +352,189 @@ def _normalize_priors(priors, models) -> dict[str, tuple[PriorSpec, PriorSpec]]:
     return {m: tuple(priors[m]) if m in priors else default for m in models}
 
 
-def _run_chain(
+def _log_scale_density(other, log_sum, n_tasks, prior):
+    """The conditional of y = log x, Jacobian term included, as a function of y."""
+
+    def logdensity(y):
+        return _log_conditional(np.exp(y), other, log_sum, n_tasks, prior) + y
+
+    return logdensity
+
+
+def _slice_update(logdensity, y0, free, gens, models, param):
+    """One slice step of every free coordinate of ``y0`` (chains x models), in lockstep.
+
+    Each coordinate takes exactly the transition of :func:`slice_sample_step`
+    at width _SLICE_WIDTH and budget _SLICE_MAX_STEPOUT.  ``logdensity``
+    evaluates a whole array of points at once, so both stepping-out ends go
+    in one stacked call; masks applied with ``where=`` mark the coordinates
+    still stepping out or still shrinking.  Chain c draws only from
+    ``gens[c]``: one block per update holding each coordinate's level,
+    window offset, budget split and first _SHRINK_PREDRAWN shrinkage
+    proposals, then one uniform per round for each of its own coordinates
+    still pending.  Coordinates where the chains x models mask ``free`` is
+    False keep their value.
+
+    Returns the new points, the log-density evaluations that
+    :func:`slice_sample_step` would make for the same uniforms, and whether
+    either end stepped out through the whole of a non-zero share of the
+    budget, each per coordinate (zero where not free).
+    """
+    C, M = y0.shape
+    block = np.empty((C, 3 + _SHRINK_PREDRAWN, M))
+    for c, gen in enumerate(gens):
+        gen.random(out=block[c])
+    u = block.transpose(1, 0, 2)
+    left = y0 - _SLICE_WIDTH * u[1]
+    # The current point and both window ends in one call: the ends' values
+    # do not depend on the level, which needs the current point's.
+    points = np.stack([y0, left, left + _SLICE_WIDTH])
+    values = logdensity(points)
+    logp0, ends = values[0], points[1:]
+    bad = free & ~np.isfinite(logp0)
+    if np.count_nonzero(bad):
+        c, i = np.argwhere(bad)[0]
+        raise SliceSamplerError(
+            f"chain {c}, model {models[i]!r}, {param}: log density at the "
+            f"current point is not finite: {logp0[c, i]}",
+            diagnostics={"chain": int(c), "model": models[i], "parameter": param,
+                         "x0": float(y0[c, i]), "logp0": float(logp0[c, i])},
+        )
+    log_u = logp0 + np.log(u[0])
+
+    budget_left = np.floor(_SLICE_MAX_STEPOUT * u[2])
+    start = np.stack([budget_left, _SLICE_MAX_STEPOUT - 1 - budget_left])
+    budget = start.copy()
+    stepping = free & (budget > 0) & (values[1:] > log_u)
+    while np.count_nonzero(stepping):
+        np.add(ends, _OUTWARD, out=ends, where=stepping)
+        np.subtract(budget, 1.0, out=budget, where=stepping)
+        np.logical_and(stepping, budget > 0, out=stepping)
+        np.logical_and(stepping, logdensity(ends) > log_u, out=stepping)
+    # Per side: one evaluation per step outward, plus the one that found the
+    # end off the slice unless its budget ran out first.
+    stepout_evals = (start - budget + (budget > 0)).sum(axis=0)
+    exhausted = ((start > 0) & (budget == 0)).any(axis=0)
+
+    left, right = ends
+    y1 = y0.copy()
+    pending = free.copy()
+    shrink_evals = np.zeros((C, M))
+    extra = np.zeros((C, M))
+    for r in range(_SHRINK_BUDGET):
+        if r < _SHRINK_PREDRAWN:
+            proposal = u[3 + r]
+        else:
+            for c, gen in enumerate(gens):
+                n = np.count_nonzero(pending[c])
+                if n:
+                    extra[c, pending[c]] = gen.random(n)
+            proposal = extra
+        x = left + (right - left) * proposal
+        accept = logdensity(x) >= log_u
+        np.logical_and(accept, pending, out=accept)
+        np.copyto(y1, x, where=accept)
+        np.copyto(shrink_evals, r + 1, where=accept)
+        np.logical_xor(pending, accept, out=pending)
+        if not np.count_nonzero(pending):
+            return y1, free * (1 + stepout_evals + shrink_evals).astype(np.int64), exhausted
+        below = x < y0
+        np.copyto(left, x, where=below)
+        np.copyto(right, x, where=~below)
+    c, i = np.argwhere(pending)[0]
+    raise SliceSamplerError(
+        f"chain {c}, model {models[i]!r}, {param}: no acceptable point after "
+        f"{_SHRINK_BUDGET} shrinkage steps",
+        diagnostics={"chain": int(c), "model": models[i], "parameter": param,
+                     "x0": float(y0[c, i]), "log_u": float(log_u[c, i]),
+                     "left": float(left[c, i]), "right": float(right[c, i]),
+                     "evaluations": _SHRINK_BUDGET + _SLICE_MAX_STEPOUT},
+    )
+
+
+def _chains_x_models(priors: list[PriorSpec], chains: int):
+    """Initial values, free mask and prior coefficients as chains x models arrays.
+
+    A fixed prior's coefficients are zeros; the free mask keeps it from moving.
+    """
+    tile = (chains, 1)
+    coef = np.array([(0.0,) * 4 if p.kind == "fixed" else p.coefficients()
+                     for p in priors]).T
+    return (np.tile([p.initial_value() for p in priors], tile),
+            np.tile([p.kind != "fixed" for p in priors], tile),
+            tuple(np.tile(c, tile) for c in coef))
+
+
+def _run_chains(
     table: EvalTable,
     prior_pairs: list[tuple[PriorSpec, PriorSpec]],
     config: McmcConfig,
-    chain: int,
     theta_out: np.ndarray,
     alpha_out: np.ndarray,
     beta_out: np.ndarray,
-) -> None:
-    gen = _rng.substream(config.seed, _rng.CHAIN, chain)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run every chain in lockstep into chains x kept x ... output arrays.
+
+    Returns each model's log-density evaluations per slice step and its
+    count of steps that used up a side's stepping-out budget.
+    """
+    C = config.chains
+    gens = [_rng.substream(config.seed, _rng.CHAIN, c) for c in range(C)]
     Y = table.counts
     N = table.sizes
+    models = table.models
     n_models, n_tasks = Y.shape
 
-    theta = np.clip((Y + 0.5) / (N[None, :] + 1.0), _THETA_EPS, 1.0 - _THETA_EPS)
-    alpha = np.array([pa.initial_value() for pa, _ in prior_pairs])
-    beta = np.array([pb.initial_value() for _, pb in prior_pairs])
-
+    theta0 = np.clip((Y + 0.5) / (N[None, :] + 1.0), _THETA_EPS, 1.0 - _THETA_EPS)
     for i, (prior_a, prior_b) in enumerate(prior_pairs):
+        a0, b0 = prior_a.initial_value(), prior_b.initial_value()
         finite_a = prior_a.kind == "fixed" or np.isfinite(
-            log_conditional_alpha(alpha[i], beta[i], theta[i], prior_a)
+            log_conditional_alpha(a0, b0, theta0[i], prior_a)
         )
         finite_b = prior_b.kind == "fixed" or np.isfinite(
-            log_conditional_beta(alpha[i], beta[i], theta[i], prior_b)
+            log_conditional_beta(a0, b0, theta0[i], prior_b)
         )
         if not (finite_a and finite_b):
             raise ValidationError(
-                f"model {table.models[i]!r}: log density not finite at "
-                f"initialization (alpha={alpha[i]}, beta={beta[i]})"
+                f"model {models[i]!r}: log density not finite at "
+                f"initialization (alpha={a0}, beta={b0})"
             )
 
+    alpha, free_a, prior_a = _chains_x_models([a for a, _ in prior_pairs], C)
+    beta, free_b, prior_b = _chains_x_models([b for _, b in prior_pairs], C)
+    log_alpha, log_beta = np.log(alpha), np.log(beta)
+    any_a, any_b = free_a.any(), free_b.any()
+
+    evals = np.zeros((C, n_models), dtype=np.int64)
+    exhausted = np.zeros((C, n_models), dtype=np.int64)
+    theta = np.empty((C, n_models, n_tasks))
     kept = 0
     for t in range(1, config.total_iterations + 1):
-        theta = gibbs_theta_update(Y, N[None, :], alpha[:, None], beta[:, None], gen)
+        for c, gen in enumerate(gens):
+            theta[c] = gibbs_theta_update(Y, N, alpha[c][:, None], beta[c][:, None], gen)
         np.clip(theta, _THETA_EPS, 1.0 - _THETA_EPS, out=theta)
-        log_theta = np.log(theta).sum(axis=1)
-        log_1m_theta = np.log1p(-theta).sum(axis=1)
 
-        for i, (prior_a, prior_b) in enumerate(prior_pairs):
-            if prior_a.kind != "fixed":
-                b_i, s = beta[i], log_theta[i]
-
-                def g_alpha(y: float) -> float:
-                    return _log_conditional(
-                        math.exp(y), b_i, s, n_tasks, prior_a, x_is_alpha=True
-                    ) + y
-
-                y1 = slice_sample_step(
-                    g_alpha, math.log(alpha[i]), _SLICE_WIDTH, _SLICE_MAX_STEPOUT, gen
-                )
-                alpha[i] = math.exp(y1)
-            if prior_b.kind != "fixed":
-                a_i, s = alpha[i], log_1m_theta[i]
-
-                def g_beta(y: float) -> float:
-                    return _log_conditional(
-                        math.exp(y), a_i, s, n_tasks, prior_b, x_is_alpha=False
-                    ) + y
-
-                y1 = slice_sample_step(
-                    g_beta, math.log(beta[i]), _SLICE_WIDTH, _SLICE_MAX_STEPOUT, gen
-                )
-                beta[i] = math.exp(y1)
+        if any_a:
+            density = _log_scale_density(beta, np.log(theta).sum(axis=2), n_tasks, prior_a)
+            log_alpha, n, out = _slice_update(density, log_alpha, free_a, gens, models, "alpha")
+            np.exp(log_alpha, out=alpha, where=free_a)
+            evals += n
+            exhausted += out
+        if any_b:
+            density = _log_scale_density(alpha, np.log1p(-theta).sum(axis=2), n_tasks, prior_b)
+            log_beta, n, out = _slice_update(density, log_beta, free_b, gens, models, "beta")
+            np.exp(log_beta, out=beta, where=free_b)
+            evals += n
+            exhausted += out
 
         if t > config.burn_in and (t - config.burn_in) % config.thinning == 0:
-            theta_out[kept] = theta
-            alpha_out[kept] = alpha
-            beta_out[kept] = beta
+            theta_out[:, kept] = theta
+            alpha_out[:, kept] = alpha
+            beta_out[:, kept] = beta
             kept += 1
+    steps = config.total_iterations * (free_a.sum(axis=0) + free_b.sum(axis=0))
+    evals_per_step = np.divide(evals.sum(axis=0), steps, out=np.zeros(n_models), where=steps > 0)
+    return evals_per_step, exhausted.sum(axis=0)
 
 
 def fit_bhm(
@@ -396,12 +546,15 @@ def fit_bhm(
 
     ``priors`` may be a single PriorSpec (both hyperparameters, all models),
     an (alpha_prior, beta_prior) tuple, or a mapping model -> pair; models
-    missing from a mapping get the default exponential hyperpriors.  Chains
-    run one after another, each on its own chain-indexed substream, so a
-    chain's draws do not depend on the order chains run in.  Convergence
-    diagnostics (split-chain R-hat and effective sample size of each model's
-    mean theta trace) are attached to the result and a warning fires if any
-    R-hat exceeds 1.05.
+    missing from a mapping get the default exponential hyperpriors.  All
+    chains advance together, one lockstep sweep per iteration over chains x
+    models arrays (theta, then every free alpha, then every free beta; see
+    the module docstring).  Each chain draws only from its own
+    chain-indexed substream, so a chain's draws do not depend on how many
+    chains run beside it.  Diagnostics per model: split-chain R-hat and
+    effective sample size of the mean theta trace, log-density evaluations
+    per slice step, and the count of slice steps whose stepping-out used a
+    whole side's budget.  A warning fires if any R-hat exceeds 1.05.
     """
     by_model = _normalize_priors(priors, table.models)
     prior_pairs = [by_model[m] for m in table.models]
@@ -412,13 +565,14 @@ def fit_bhm(
         )
     C = config.chains
     n_models, n_tasks = table.counts.shape
-    theta = np.empty((C * K, n_models, n_tasks))
-    alpha = np.empty((C * K, n_models))
-    beta = np.empty((C * K, n_models))
-
-    for c in range(C):
-        block = slice(c * K, (c + 1) * K)
-        _run_chain(table, prior_pairs, config, c, theta[block], alpha[block], beta[block])
+    theta = np.empty((C, K, n_models, n_tasks))
+    alpha = np.empty((C, K, n_models))
+    beta = np.empty((C, K, n_models))
+    evals_per_step, exhausted = _run_chains(table, prior_pairs, config, theta, alpha, beta)
+    # Chain-major draws: draw s belongs to chain s // K.
+    theta = theta.reshape(C * K, n_models, n_tasks)
+    alpha = alpha.reshape(C * K, n_models)
+    beta = beta.reshape(C * K, n_models)
 
     mean_theta = theta.mean(axis=2)  # draws x models
     diagnostics = {}
@@ -429,6 +583,8 @@ def fit_bhm(
         diagnostics[model] = {
             "rhat": r,
             "ess": effective_sample_size(per_chain),
+            "evals_per_step": float(evals_per_step[i]),
+            "stepout_exhausted": int(exhausted[i]),
         }
         worst = max(worst, r) if np.isfinite(r) else worst
     if worst > RHAT_WARN_THRESHOLD:

@@ -11,7 +11,13 @@ Purpose constants (first key component):
 
 ====================  ===  ========================================
 BOOTSTRAP              0   one stream per bootstrap replicate
-CHAIN                  1   one stream per MCMC chain
+CHAIN                  1   one stream per MCMC chain; per sweep: the theta
+                           draw, then for alpha and then for beta (unless
+                           every model's prior on it is fixed) one block of
+                           uniforms (level, window offset, budget split and
+                           12 shrinkage proposals per model), plus one
+                           uniform per later shrinkage round of each model
+                           still pending
 RANK_NOISE             2   one stream per sample for noisy ranking
 JITTER                 3   binomial jitter in count synthesis
 PREDICTIVE             4   posterior predictive draws

@@ -264,8 +264,11 @@ def _top_two(scores: np.ndarray, variances: np.ndarray, z: float, rho: float):
     """The top-two margin rule over rows of (rows x models) score arrays.
 
     Returns each row's winning index (-1 when indeterminate) and its margin
-    in SE units; see :func:`decide_winner` for the rule.
+    in SE units; see :func:`decide_winner` for the rule.  A lone model has
+    no runner-up and wins every row with an infinite margin.
     """
+    if scores.shape[1] == 1:
+        return np.zeros(len(scores), dtype=np.intp), np.full(len(scores), math.inf)
     order = np.argsort(-scores, axis=1, kind="stable")
     ranked = np.take_along_axis(scores, order, axis=1)
     top, first, second = order[:, 0], ranked[:, 0], ranked[:, 1]

@@ -83,6 +83,8 @@ class TestPriorSpec:
         prior = PriorSpec.fixed(7.0)
         with pytest.raises(ValidationError, match="fixed"):
             prior.log_density(7.0)
+        with pytest.raises(ValidationError, match="fixed"):
+            log_conditional_alpha(7.0, 2.0, [0.5], prior)
         assert prior.initial_value() == 7.0
 
     @pytest.mark.parametrize(
@@ -253,6 +255,168 @@ class TestSliceSampler:
         assert err.value.diagnostics["left"] <= 0.5 <= err.value.diagnostics["right"]
 
 
+def lockstep_density(scales):
+    """Normal log densities with one sd per model, on chains x models points."""
+    inv_var = 1.0 / np.asarray(scales, dtype=float) ** 2
+    return lambda y: -0.5 * y * y * inv_var
+
+
+class TestLockstepSliceUpdate:
+    class BlockStream:
+        """Serves slice_sample_step one model's share of the lockstep draws.
+
+        Per step: a block of level, offset, split and the predrawn
+        shrinkage proposals, then one fresh uniform per further proposal.
+        """
+
+        def __init__(self, gen):
+            self.gen = gen
+            self.queue = []
+
+        def new_step(self):
+            self.queue = list(self.gen.random(3 + bhm._SHRINK_PREDRAWN))
+            return self
+
+        def uniform(self):
+            return self.queue.pop(0) if self.queue else self.gen.random()
+
+    def test_one_coordinate_per_chain_matches_scalar_step(self):
+        # With one model, each chain must follow slice_sample_step exactly
+        # when that is fed the same uniforms; the narrow sd forces rounds
+        # past the predrawn shrinkage proposals.
+        sd = 0.004
+        density = lockstep_density([sd])
+        scalar_evals = {"n": 0}
+
+        def scalar_density(x):
+            scalar_evals["n"] += 1
+            return -0.5 * x * x / sd**2
+
+        C, steps = 3, 300
+        gens = [substream(40, c) for c in range(C)]
+        refs = [self.BlockStream(substream(40, c)) for c in range(C)]
+        evals = 0
+        y = np.zeros((C, 1))
+        x = [0.0] * C
+        for _ in range(steps):
+            y, n, _ = bhm._slice_update(density, y, np.ones((C, 1), bool), gens, ("m",), "alpha")
+            evals += n.sum()
+            x = [slice_sample_step(scalar_density, x[c], 1.0, 50, refs[c].new_step())
+                 for c in range(C)]
+            assert y[:, 0].tolist() == x
+        assert evals == scalar_evals["n"]
+        assert evals > (3 + bhm._SHRINK_PREDRAWN) * C * steps / 2
+
+    def test_matches_numerically_integrated_alpha_conditionals(self):
+        # A chains x models grid of alpha conditionals at fixed theta, each
+        # cell with its own beta, tasks and prior.
+        priors = (PriorSpec.exponential(1e-4), PriorSpec.exponential(0.5),
+                  PriorSpec.truncated_normal(40.0, 15.0))
+        thetas = (np.array([0.55, 0.6, 0.7]), np.array([0.2, 0.9]),
+                  np.array([0.8, 0.85, 0.9, 0.75]))
+        betas = np.array([[2.0, 1.0, 10.0], [30.0, 4.0, 5.0]])
+        C, M = betas.shape
+        n_tasks = np.array([t.size for t in thetas])
+        log_sum = np.array([np.log(t).sum() for t in thetas])
+        coef = tuple(np.array([p.coefficients() for p in priors]).T)
+        density = bhm._log_scale_density(betas, log_sum, n_tasks, coef)
+
+        steps = 6_000
+        gens = [substream(41, c) for c in range(C)]
+        y = np.zeros((C, M))
+        trace = np.empty((steps, C, M))
+        for k in range(steps):
+            y, _, _ = bhm._slice_update(density, y, np.ones((C, M), bool), gens,
+                                        ("m0", "m1", "m2"), "alpha")
+            trace[k] = y
+        trace = trace[200:]
+
+        for c in range(C):
+            for i in range(M):
+                def logp(v):
+                    a = math.exp(v)
+                    return log_conditional_alpha(a, betas[c, i], thetas[i], priors[i]) + v
+
+                coarse = np.linspace(-12.0, 14.0, 2_001)
+                lp = np.array([logp(v) for v in coarse])
+                inside = coarse[lp > lp.max() - 40.0]
+                grid = np.linspace(inside[0] - 0.1, inside[-1] + 0.1, 4_001)
+                dens = np.exp(np.array([logp(v) for v in grid]) - lp.max())
+                cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2)])
+                cdf /= cdf[-1]
+                mean = np.trapezoid(np.exp(grid) * dens, grid) / np.trapezoid(dens, grid)
+
+                draws = trace[:, c, i]
+                ess = effective_sample_size(draws.reshape(2, -1))
+                alpha = np.exp(draws)
+                se = alpha.std() / math.sqrt(ess)
+                assert abs(alpha.mean() - mean) < 4 * se, (c, i, alpha.mean(), mean, se)
+                for q in (0.05, 0.5, 0.95):
+                    exact = np.interp(q, cdf, grid)
+                    frac = np.mean(draws <= exact)
+                    assert abs(frac - q) < 4 * math.sqrt(q * (1 - q) / ess), (c, i, q, frac)
+
+    def test_fixed_coordinates_never_move(self):
+        C, M = 2, 3
+        free = np.tile([True, False, True], (C, 1))
+        gens = [substream(42, c) for c in range(C)]
+        y0 = np.full((C, M), 0.3)
+        y = y0
+        for _ in range(50):
+            y, evals, exhausted = bhm._slice_update(lockstep_density([1.0, 1.0, 1.0]), y,
+                                                    free, gens, ("a", "b", "c"), "beta")
+            assert not evals[:, 1].any() and not exhausted[:, 1].any()
+        assert np.array_equal(y[:, 1], y0[:, 1])
+        assert np.all(y[free] != y0[free])
+
+    def test_nonfinite_current_point_names_chain_model_and_parameter(self):
+        def density(y):
+            out = -0.5 * y * y
+            out[..., 1, 2] = np.nan
+            return out
+
+        gens = [substream(43, c) for c in range(2)]
+        with pytest.raises(SliceSamplerError, match="not finite") as err:
+            bhm._slice_update(density, np.zeros((2, 3)), np.ones((2, 3), bool), gens,
+                              ("a", "b", "c"), "beta")
+        diag = err.value.diagnostics
+        assert (diag["chain"], diag["model"], diag["parameter"]) == (1, "c", "beta")
+        assert "chain 1, model 'c', beta" in str(err.value)
+
+    def test_shrinkage_exhaustion_names_chain_model_and_parameter(self):
+        # Chain 0, model b turns -inf after its level is drawn (a numerically
+        # unstable density), so every proposal there is rejected; the other
+        # coordinates accept normally.
+        calls = {"n": 0}
+
+        def density(y):
+            calls["n"] += 1
+            out = -0.5 * y * y
+            if calls["n"] > 1:
+                out[..., 0, 1] = -np.inf
+            return out
+
+        gens = [substream(44, c) for c in range(2)]
+        y0 = np.full((2, 3), 0.25)
+        with pytest.raises(SliceSamplerError, match="shrinkage") as err:
+            bhm._slice_update(density, y0, np.ones((2, 3), bool), gens,
+                              ("a", "b", "c"), "alpha")
+        diag = err.value.diagnostics
+        assert (diag["chain"], diag["model"], diag["parameter"]) == (0, "b", "alpha")
+        assert diag["left"] <= 0.25 <= diag["right"]
+
+    def test_fit_reports_sampler_failure_with_model_name(self, monkeypatch):
+        make = bhm._log_scale_density
+
+        def broken(*args):
+            density = make(*args)
+            return lambda y: np.where(np.arange(y.shape[-1]) == 1, np.nan, density(y))
+
+        monkeypatch.setattr(bhm, "_log_scale_density", broken)
+        with pytest.raises(SliceSamplerError, match="model 'B', alpha"):
+            fit_bhm(tiny_table(), config=quick_config())
+
+
 class TestFitBhm:
     def test_draw_shapes_and_invariants(self):
         config = quick_config()
@@ -270,6 +434,15 @@ class TestFitBhm:
         b = fit_bhm(table, config=quick_config())
         assert np.array_equal(a.theta, b.theta)
         assert np.array_equal(a.alpha, b.alpha)
+
+    def test_chains_do_not_depend_on_chain_count(self):
+        table = tiny_table()
+        two = fit_bhm(table, config=quick_config(chains=2))
+        three = fit_bhm(table, config=quick_config(chains=3))
+        S = two.n_draws
+        assert np.array_equal(three.theta[:S], two.theta)
+        assert np.array_equal(three.alpha[:S], two.alpha)
+        assert np.array_equal(three.beta[:S], two.beta)
 
     def test_different_seed_changes_draws(self):
         table = tiny_table()
@@ -298,6 +471,31 @@ class TestFitBhm:
                 assert abs(cell.mean() - mean) < 3 * math.sqrt(var / S)
                 var_se = math.sqrt(var**2 * (2.0 / (S - 1) + float(kurt) / S))
                 assert abs(cell.var(ddof=1) - var) < 3 * var_se
+
+    def test_fixed_hyperparameters_never_move(self):
+        priors = {"A": (PriorSpec.fixed(3.0), PriorSpec.exponential()),
+                  "B": (PriorSpec.exponential(), PriorSpec.fixed(5.0))}
+        draws = fit_bhm(tiny_table(), priors=priors, config=quick_config())
+        assert np.all(draws.alpha[:, 0] == 3.0) and np.all(draws.beta[:, 1] == 5.0)
+        assert np.ptp(draws.beta[:, 0]) > 0 and np.ptp(draws.alpha[:, 1]) > 0
+
+    def test_slice_work_diagnostics(self):
+        config = quick_config()
+        priors = {"B": (PriorSpec.fixed(3.0), PriorSpec.fixed(5.0))}
+        draws = fit_bhm(tiny_table(), priors=priors, config=config)
+        again = fit_bhm(tiny_table(), priors=priors, config=config)
+        assert draws.diagnostics == again.diagnostics
+        free, pinned = draws.diagnostics["A"], draws.diagnostics["B"]
+        # logp0, at least one stepping-out end, and one shrinkage proposal.
+        assert free["evals_per_step"] >= 3.0
+        assert isinstance(free["stepout_exhausted"], int)
+        assert pinned["evals_per_step"] == 0.0 and pinned["stepout_exhausted"] == 0
+
+    def test_nonfinite_initial_density_names_model(self):
+        priors = {"B": (PriorSpec.truncated_normal(1e300, 1e-300), PriorSpec.exponential())}
+        with pytest.raises(ValidationError, match="model 'B'.*initialization"):
+            with np.errstate(over="ignore"):
+                fit_bhm(tiny_table(), priors=priors, config=quick_config())
 
     def test_prior_mapping_forms(self):
         table = tiny_table()

@@ -316,6 +316,25 @@ def test_simplex_default_settings(tmp_path, capsys):
     assert [f["variant"] for f in payload["fields"]] == ["simplex", "simplex"]
 
 
+def test_simplex_single_model_wins_every_cell(tmp_path, capsys):
+    tasks = tmp_path / "tasks.csv"
+    tasks.write_text("task,category,test_size\nt1,a,100\nt2,b,200\nt3,c,300\n")
+    evals = tmp_path / "counts.csv"
+    evals.write_text("model,task,correct\nsolo,t1,50\nsolo,t2,150\nsolo,t3,90\n")
+    out = tmp_path / "out"
+    argv = ["simplex", "--eval", str(evals), "--tasks", str(tasks),
+            "--out-dir", str(out), "--grid-step", "0.25"]
+    assert run(argv) == EXIT_OK
+    capsys.readouterr()
+    rows = (out / "simplex_2_0.csv").read_text().splitlines()
+    assert len(rows) == 1 + 15
+    assert all(row.endswith(",solo,inf") for row in rows[1:])
+    payload = json.loads((out / "simplex.json").read_text())
+    for field in payload["fields"]:
+        assert field["winners"] == ["solo"]
+        assert field["indeterminate_cells"] == 0
+
+
 def test_simplex_explicit_setting_and_zero_z(tmp_path):
     out = tmp_path / "out"
     argv = ["simplex", "--out-dir", str(out), "--z", "0", "--rho", "0",
@@ -392,6 +411,8 @@ def test_bhm_subcommand_outputs(tmp_path, capsys):
     for stats in payload["diagnostics"].values():
         assert isinstance(stats["rhat"], float)
         assert isinstance(stats["ess"], float)
+        assert stats["evals_per_step"] >= 3.0
+        assert isinstance(stats["stepout_exhausted"], int)
 
 
 def test_simstudy_bootstrap_only(tmp_path, capsys):

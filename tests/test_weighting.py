@@ -243,6 +243,10 @@ class TestDecideWinner:
         idx_low_z, _ = decide_winner(scores, variances, z=1.5, rho=0.0)
         assert idx_low_z == 0
 
+    def test_lone_model_wins_with_infinite_margin(self):
+        idx, margin = decide_winner(np.array([0.4]), np.array([1e-4]), z=3.0, rho=0.5)
+        assert idx == 0 and math.isinf(margin)
+
     def test_zero_se_with_gap_wins_with_infinite_margin(self):
         idx, margin = decide_winner(
             np.array([0.7, 0.6]), np.array([0.0, 0.0]), z=10.0, rho=0.0
