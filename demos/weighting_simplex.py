@@ -43,10 +43,10 @@ for z in (2.0, 2.0 * se_reduction_factor(1.0, 0.5)):
           f"{n_gray}/{len(field.cells)} cells indeterminate")
 
 # Render the z = 2 field as a standalone SVG ternary plot.
-from benchuq.viz import RenderSpec, render_ternary
+from benchuq.viz import render_ternary
 
 field = simplex_scan(table, categories, grid_step=0.05, z=2.0)
-svg = render_ternary(field, RenderSpec())
+svg = render_ternary(field)
 out = "simplex_demo.svg"
 with open(out, "w", encoding="utf-8", newline="\n") as fh:
     fh.write(svg)

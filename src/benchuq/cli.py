@@ -40,7 +40,7 @@ from .errors import BenchuqError, ConvergenceWarning, ValidationError
 from .fixtures import load_vtab, published_means_from_csv, vtab_published_means
 from .normalize import estimate_bounds, normalize_scores
 from .ranking import RankScheme, rank_intervals
-from .viz import RenderSpec, render_ternary
+from .viz import render_ternary
 from .weighting import INDETERMINATE, simplex_scan
 
 EXIT_OK = 0
@@ -534,7 +534,7 @@ def cmd_simplex(args) -> int:
                 path.parent.mkdir(parents=True, exist_ok=True)
                 field.to_csv(path)
                 written.append(path)
-            svg = render_ternary(field, RenderSpec())
+            svg = render_ternary(field)
             written.append(rpt.write_text(out_dir / f"{name}.svg", svg))
     payload = {
         "command": "simplex",
@@ -667,11 +667,7 @@ def cmd_simstudy(args) -> int:
         "bootstrap": rpt.interval_dict(boot),
     }
     if not args.bootstrap_only:
-        with warnings.catch_warnings():
-            if args.strict:
-                warnings.simplefilter("error", ConvergenceWarning)
-            draws = fit_bhm(table, priors=SIMSTUDY_PRIORS,
-                            config=_mcmc_config(args))
+        draws = fit_bhm(table, priors=SIMSTUDY_PRIORS, config=_mcmc_config(args))
         a_minus_b = credible_interval(draws, "A", other="B", level=0.95)
         say(f"BHM 95% credible interval for the A-B theta difference: "
             f"{rpt.format_interval(a_minus_b, digits=3)}")
@@ -713,7 +709,10 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             print(f"{parser.prog}: error: a command is required", file=sys.stderr)
             return EXIT_USAGE
-        return args.func(args)
+        with warnings.catch_warnings():
+            if getattr(args, "strict", False):
+                warnings.simplefilter("error", ConvergenceWarning)
+            return args.func(args)
     except _UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

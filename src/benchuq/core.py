@@ -17,7 +17,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from . import rng as _rng
 
 __all__ = [
     "TaskSpec",
@@ -390,20 +389,13 @@ def validate_consistency(
 
 
 def synthesize_counts(
-    accuracies: AccuracyMatrix,
-    sizes: Sequence[int] | None = None,
-    seed: int = 0,
-    mode: str = "deterministic",
+    accuracies: AccuracyMatrix, sizes: Sequence[int] | None = None
 ) -> EvalTable:
     """Derive a count table from an accuracy matrix.
 
-    Deterministic mode sets ``Y = round(p * N)`` with round-half-to-even and
-    is bit-reproducible.  Jitter mode draws ``Y ~ Binomial(N, p)`` from the
-    substream keyed on ``seed``, for simulation studies that want count-level
-    sampling noise.
+    Sets ``Y = round(p * N)`` with round-half-to-even, so the result is
+    bit-reproducible.
     """
-    if mode not in ("deterministic", "jitter"):
-        raise ValidationError(f"unknown synthesis mode {mode!r}")
     values = accuracies.values
     if sizes is None:
         if not accuracies.tasks:
@@ -417,11 +409,7 @@ def synthesize_counts(
     if np.any(sizes < 1):
         raise ValidationError("all test sizes must be >= 1")
 
-    if mode == "deterministic":
-        counts = np.rint(values * sizes[None, :]).astype(np.int64)
-    else:
-        gen = _rng.substream(seed, _rng.JITTER)
-        counts = gen.binomial(sizes[None, :], values)
+    counts = np.rint(values * sizes[None, :]).astype(np.int64)
 
     models = accuracies.models or tuple(f"model_{i}" for i in range(values.shape[0]))
     tasks = accuracies.tasks or tuple(

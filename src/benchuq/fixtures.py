@@ -15,13 +15,7 @@ from __future__ import annotations
 from contextlib import ExitStack
 from importlib import resources
 
-from .core import (
-    ConsistencyReport,
-    EvalTable,
-    load_eval_table,
-    read_csv_rows,
-    validate_consistency,
-)
+from .core import EvalTable, load_eval_table, read_csv_rows
 from .errors import ValidationError
 
 # Category labels in the fixture's canonical reporting order.
@@ -74,13 +68,3 @@ def vtab_published_means() -> dict[str, dict[str, float]]:
     """
     with resources.as_file(_data_dir() / "vtab_published_means.csv") as path:
         return published_means_from_csv(path)
-
-
-def vtab_consistency_report(tolerance: float = 0.1) -> ConsistencyReport:
-    """Check the bundled table against the published means.
-
-    The 0.1-percentage-point default absorbs the rounding chain from
-    two-decimal stored accuracies through count recovery at the smallest
-    test set (N = 711).
-    """
-    return validate_consistency(load_vtab(), vtab_published_means(), tolerance)

@@ -9,15 +9,11 @@ cluster tightly stop being drowned out by tasks with wide raw spreads.
 
 from __future__ import annotations
 
-import csv
-import io
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .core import read_csv_rows
 from .errors import DegenerateBoundsError, ValidationError
 
 __all__ = [
@@ -51,36 +47,6 @@ class NormalizationBounds:
         high.setflags(write=False)
         object.__setattr__(self, "low", low)
         object.__setattr__(self, "high", high)
-
-    def to_csv(self, path=None) -> str:
-        """Serialize as ``task,low,high`` rows; optionally write to path."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["task", "low", "high"])
-        for task, lo, hi in zip(self.tasks, self.low, self.high):
-            writer.writerow([task, repr(float(lo)), repr(float(hi))])
-        text = buf.getvalue()
-        if path is not None:
-            Path(path).write_text(text)
-        return text
-
-    @classmethod
-    def from_csv(cls, path) -> "NormalizationBounds":
-        """Read user-supplied bounds (e.g. chance-level floors) from CSV."""
-        _, rows = read_csv_rows(path, (("task",), ("low",), ("high",)))
-        tasks, lows, highs = [], [], []
-        for lineno, row in rows:
-            if len(row) != 3:
-                raise ValidationError(f"{path}: row {lineno} has {len(row)} columns")
-            try:
-                tasks.append(row[0].strip())
-                lows.append(float(row[1]))
-                highs.append(float(row[2]))
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: row {lineno}: bounds must be numeric"
-                ) from None
-        return cls(tasks=tuple(tasks), low=np.array(lows), high=np.array(highs))
 
 
 def estimate_bounds(store) -> NormalizationBounds:

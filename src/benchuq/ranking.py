@@ -34,9 +34,6 @@ from .errors import ValidationError
 __all__ = [
     "RankScheme",
     "RankSummary",
-    "ranks_by_average",
-    "ranks_by_geometric_mean",
-    "average_rank",
     "rank_intervals",
 ]
 
@@ -119,78 +116,6 @@ def _block_ranks(block, scheme, bin_width=1.0, noise=None):
     return _descending_ranks(percent, axis=1).mean(axis=2), 0
 
 
-def _warn_zero_accuracy(n_pairs: int) -> None:
-    warnings.warn(
-        f"{n_pairs} (sample, model) pair(s) have a zero accuracy; their "
-        "geometric mean is 0 and they rank last",
-        stacklevel=3,
-    )
-
-
-def _check_scheme_args(scheme, noise_sd, bin_width) -> None:
-    if scheme == RankScheme.AVERAGE_RANK_NOISE and noise_sd < 0:
-        raise ValidationError(f"noise sd must be >= 0, got {noise_sd}")
-    if scheme == RankScheme.AVERAGE_RANK_BINNED and bin_width <= 0:
-        raise ValidationError(f"bin width must be > 0, got {bin_width}")
-
-
-def _one_sample(acc) -> np.ndarray:
-    return np.atleast_2d(np.asarray(acc, dtype=float))[None]
-
-
-def ranks_by_average(acc: np.ndarray) -> np.ndarray:
-    """Ranks of across-task mean accuracy; 1 = highest mean."""
-    return _block_ranks(_one_sample(acc), RankScheme.BY_AVERAGE)[0][0]
-
-
-def ranks_by_geometric_mean(acc: np.ndarray) -> np.ndarray:
-    """Ranks of the across-task geometric mean; 1 = highest.
-
-    A model with any zero accuracy has geometric mean exactly 0 and ranks
-    behind every strictly positive model; such rows are flagged with a
-    warning.
-    """
-    ranks, n_zero = _block_ranks(_one_sample(acc), RankScheme.GEOMETRIC_MEAN)
-    if n_zero:
-        _warn_zero_accuracy(n_zero)
-    return ranks[0]
-
-
-_VARIANTS = {
-    "plain": RankScheme.AVERAGE_RANK,
-    "noise": RankScheme.AVERAGE_RANK_NOISE,
-    "binned": RankScheme.AVERAGE_RANK_BINNED,
-}
-
-
-def average_rank(
-    acc: np.ndarray,
-    variant: str = "plain",
-    noise_sd: float = 1.0,
-    bin_width: float = 1.0,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Across-task mean of per-task ranks; lower is better.
-
-    ``plain`` ranks raw accuracies per task.  ``noise`` adds independent
-    Normal(0, noise_sd) percentage points to each cell first.  ``binned``
-    buckets each percentage by floor(percent / bin_width) — anchored at
-    integer multiples of the width — and ranks the buckets, so models in
-    the same bucket tie.
-    """
-    block = _one_sample(acc)
-    if variant not in _VARIANTS:
-        raise ValidationError(f"unknown average-rank variant {variant!r}")
-    scheme = _VARIANTS[variant]
-    _check_scheme_args(scheme, noise_sd, bin_width)
-    noise = None
-    if scheme == RankScheme.AVERAGE_RANK_NOISE:
-        if rng is None:
-            raise ValidationError("the noise variant needs a random stream")
-        noise = rng.normal(0.0, noise_sd, size=block.shape[1:])
-    return _block_ranks(block, scheme, bin_width, noise)[0][0]
-
-
 def rank_intervals(
     samples,
     scheme: RankScheme | str,
@@ -234,7 +159,10 @@ def rank_intervals(
     if len(models) != n_models:
         raise ValidationError(f"{len(models)} names for {n_models} models")
 
-    _check_scheme_args(scheme, noise_sd, bin_width)
+    if scheme == RankScheme.AVERAGE_RANK_NOISE and noise_sd < 0:
+        raise ValidationError(f"noise sd must be >= 0, got {noise_sd}")
+    if scheme == RankScheme.AVERAGE_RANK_BINNED and bin_width <= 0:
+        raise ValidationError(f"bin width must be > 0, got {bin_width}")
 
     step = max(1, _BLOCK_CELLS // max(1, n_models * n_tasks))
     ranks = np.empty((n_samples, n_models))
@@ -254,7 +182,11 @@ def rank_intervals(
         )
         n_zero += zeros
     if n_zero:
-        _warn_zero_accuracy(n_zero)
+        warnings.warn(
+            f"{n_zero} (sample, model) pair(s) have a zero accuracy; their "
+            "geometric mean is 0 and they rank last",
+            stacklevel=2,
+        )
 
     out = []
     for i, model in enumerate(models):

@@ -19,10 +19,13 @@ CHAIN                  1   one stream per MCMC chain; per sweep: the theta
                            uniform per later shrinkage round of each model
                            still pending
 RANK_NOISE             2   one stream per sample for noisy ranking
-JITTER                 3   binomial jitter in count synthesis
+(retired)              3   once count-synthesis jitter
 PREDICTIVE             4   posterior predictive draws
-COVERAGE               5   synthetic benchmark generation in tests
+(retired)              5   once synthetic test data
 ====================  ===  ========================================
+
+Retired keys are never reused, and the others are never renumbered:
+renumbering would move every stream.
 """
 
 from __future__ import annotations
@@ -32,9 +35,7 @@ import numpy as np
 BOOTSTRAP = 0
 CHAIN = 1
 RANK_NOISE = 2
-JITTER = 3
 PREDICTIVE = 4
-COVERAGE = 5
 
 _MASK64 = (1 << 64) - 1
 

@@ -9,12 +9,16 @@ structured) the structured vertex sits at the bottom-left, natural at the
 bottom-right and specialized at the top; generically the field's third
 category takes the bottom-left vertex, the first the bottom-right and the
 second the top.
+
+The canvas is ``WIDTH`` x ``HEIGHT`` pixels (the height then shrinks to fit
+the triangle and its caption).  Winners take ``PALETTE`` colors in order of
+first appearance, INDETERMINATE cells take ``INDETERMINATE_COLOR``, and the
+legend lists every color used.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -24,7 +28,6 @@ from .weighting import INDETERMINATE, SimplexField
 __all__ = [
     "PALETTE",
     "INDETERMINATE_COLOR",
-    "RenderSpec",
     "render_ternary",
 ]
 
@@ -51,23 +54,10 @@ PALETTE = (
 
 INDETERMINATE_COLOR = "#b3b3b3"
 
+WIDTH = 720
+HEIGHT = 620
+
 _FONT = 'font-family="Helvetica, Arial, sans-serif"'
-
-
-@dataclass(frozen=True)
-class RenderSpec:
-    """Rendering options for ternary winner fields.
-
-    ``width`` and ``height`` size the canvas.  ``axis_labels`` overrides the
-    three category names (in the field's category order).
-    """
-
-    width: int = 720
-    height: int = 620
-    palette: tuple[str, ...] = field(default=PALETTE)
-    indeterminate_color: str = INDETERMINATE_COLOR
-    legend: bool = True
-    axis_labels: tuple[str, str, str] | None = None
 
 
 def _fmt(x: float) -> str:
@@ -117,47 +107,33 @@ def _clip_halfplane(points, a, b):
 def _clip_to_triangle(points, triangle):
     for i in range(3):
         points = _clip_halfplane(points, triangle[i], triangle[(i + 1) % 3])
-        if not points:
-            return []
     return points
 
 
-def render_ternary(
-    field: SimplexField,
-    spec: RenderSpec = RenderSpec(),
-    model_order=None,
-    path=None,
-) -> str:
+def render_ternary(field: SimplexField, path=None) -> str:
     """Render a ternary winner field as an SVG document.
 
     Each grid cell becomes its lattice polygon (the hexagonal neighborhood
-    clipped to the outer triangle), filled with the winner's palette color
-    or gray for INDETERMINATE.  Colors follow ``model_order`` when given
-    (e.g. leaderboard order), else first appearance in the field.
+    clipped to the outer triangle), filled with the winner's ``PALETTE``
+    color or ``INDETERMINATE_COLOR``.  Colors follow first appearance in
+    the field.  Writes the document to ``path`` when given.
     """
     winners = field.winners()
-    if model_order is not None:
-        ordered = [m for m in model_order if m in winners]
-        missing = set(winners) - set(ordered)
-        if missing:
-            raise ValidationError(
-                f"model_order is missing winners: {sorted(missing)}"
-            )
-        winners = tuple(ordered)
-    if len(winners) > len(spec.palette):
+    if len(winners) > len(PALETTE):
         raise ValidationError(
-            f"palette has {len(spec.palette)} colors for "
+            f"palette has {len(PALETTE)} colors for "
             f"{len(winners)} distinct winners"
         )
-    color = {m: spec.palette[i] for i, m in enumerate(winners)}
+    color = {m: PALETTE[i] for i, m in enumerate(winners)}
+    color[INDETERMINATE] = INDETERMINATE_COLOR
     has_gray = any(c.winner == INDETERMINATE for c in field.cells)
 
     pad = 46.0
     caption_h = 30.0
-    legend_w = 170.0 if spec.legend else 0.0
+    legend_w = 170.0
     side = min(
-        spec.width - 2 * pad - legend_w,
-        (spec.height - 2 * pad - caption_h) / (math.sqrt(3) / 2),
+        WIDTH - 2 * pad - legend_w,
+        (HEIGHT - 2 * pad - caption_h) / (math.sqrt(3) / 2),
     )
     tri_h = side * math.sqrt(3) / 2
     base_y = pad + tri_h
@@ -180,16 +156,12 @@ def render_ternary(
         w0, w1, w2 = cell.weights
         cx = w0 * v_br[0] + w1 * v_top[0] + w2 * v_bl[0]
         cy = w0 * v_br[1] + w1 * v_top[1] + w2 * v_bl[1]
-        poly = _clip_to_triangle(
-            [(cx + dx, cy + dy) for dx, dy in hex_offsets], triangle
-        )
-        if not poly:
-            continue
-        fill = (
-            spec.indeterminate_color
-            if cell.winner == INDETERMINATE
-            else color[cell.winner]
-        )
+        poly = [(cx + dx, cy + dy) for dx, dy in hex_offsets]
+        # An interior lattice point lies 0.87 spacings from every edge and
+        # its hexagon reaches only 0.58, so only edge cells need clipping.
+        if min(cell.weights) == 0.0:
+            poly = _clip_to_triangle(poly, triangle)
+        fill = color[cell.winner]
         pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in poly)
         # Stroke in the fill color hides hairline gaps between cells.
         body.append(
@@ -203,25 +175,21 @@ def render_ternary(
         'stroke-width="1.5"/>'
     )
 
-    labels = spec.axis_labels if spec.axis_labels else field.categories
-    if len(labels) != 3:
-        raise ValidationError("axis_labels must name exactly 3 categories")
+    labels = field.categories
     body.append(_text(v_bl[0], base_y + 20, labels[2], anchor="middle"))
     body.append(_text(v_br[0], base_y + 20, labels[0], anchor="middle"))
     body.append(_text(v_top[0], pad - 12, labels[1], anchor="middle"))
 
-    if spec.legend:
-        lx = pad + side + 30
-        ly = pad + 10
-        entries = list(winners) + ([INDETERMINATE] if has_gray else [])
-        for i, name in enumerate(entries):
-            y = ly + 22 * i
-            fill = spec.indeterminate_color if name == INDETERMINATE else color[name]
-            body.append(
-                f'<rect x="{_fmt(lx)}" y="{_fmt(y)}" width="14" height="14" '
-                f'fill="{fill}"/>'
-            )
-            body.append(_text(lx + 20, y + 11, name, size=11))
+    lx = pad + side + 30
+    ly = pad + 10
+    entries = list(winners) + ([INDETERMINATE] if has_gray else [])
+    for i, name in enumerate(entries):
+        y = ly + 22 * i
+        body.append(
+            f'<rect x="{_fmt(lx)}" y="{_fmt(y)}" width="14" height="14" '
+            f'fill="{color[name]}"/>'
+        )
+        body.append(_text(lx + 20, y + 11, name, size=11))
 
     body.append(
         _text(
@@ -233,7 +201,7 @@ def render_ternary(
             color="#444444",
         )
     )
-    doc = _document(spec.width, base_y + caption_h + 22, body)
+    doc = _document(WIDTH, base_y + caption_h + 22, body)
     if path is not None:
         Path(path).write_text(doc)
     return doc

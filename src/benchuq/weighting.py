@@ -3,7 +3,7 @@
 A leaderboard score is a weighted mean of per-task accuracies.  Under
 within-task binomial sampling and between-task independence,
 
-    Var[S] = sum_j w_j^2 Var[p_j] + 2 sum_{j<j'} w_j w_j' Cov[p_j, p_j'],
+    Var[S] = sum_j w_j^2 Var[p_j],
 
 with ``Var[p_j] = p_j (1 - p_j) / N_j``.  The simplex scan sweeps all
 category weightings on a ternary grid and labels each cell with the winning
@@ -32,7 +32,6 @@ __all__ = [
     "WeightVector",
     "SimplexCell",
     "SimplexField",
-    "weighted_score",
     "weighted_variance",
     "difference_se",
     "se_reduction_factor",
@@ -141,14 +140,8 @@ def resolve_task_weights(
     return w
 
 
-def weighted_score(acc_row: np.ndarray, weights: WeightVector | None, tasks=None) -> float:
-    """Weighted mean score ``sum_j w_j p_j`` for one model's accuracy row."""
-    acc_row = np.asarray(acc_row, dtype=float)
-    return float(acc_row @ resolve_task_weights(weights, tasks, acc_row.size))
-
-
 def binomial_variances(acc_row: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Per-task sampling variances ``p (1 - p) / N``."""
+    """Per-task sampling variances ``p (1 - p) / N`` (tasks on the last axis)."""
     acc_row = np.asarray(acc_row, dtype=float)
     sizes = np.asarray(sizes, dtype=float)
     if np.any((acc_row < 0) | (acc_row > 1)):
@@ -162,45 +155,30 @@ def weighted_variance(
     acc_row: np.ndarray,
     sizes: np.ndarray,
     weights: WeightVector | None,
-    covariances: np.ndarray | None = None,
     tasks=None,
 ) -> float:
-    """Analytic variance of the weighted score of one model.
+    """Analytic variance of one model's weighted score, tasks independent.
 
-    ``covariances`` supplies the between-task terms ``Cov[p_j, p_j']`` (its
-    diagonal is ignored; the binomial variances are always used); the default
-    0 is the independence case.
+    Evaluates ``sum_j w_j^2 p_j (1 - p_j) / N_j``.
     """
     acc_row = np.asarray(acc_row, dtype=float)
-    variances = binomial_variances(acc_row, sizes)
     w = resolve_task_weights(weights, tasks, acc_row.size)
-    total = float(w**2 @ variances)
-    if covariances is not None:
-        cov = np.asarray(covariances, dtype=float)
-        if cov.shape != (acc_row.size, acc_row.size):
-            raise ValidationError(
-                f"covariance matrix is {cov.shape}, expected "
-                f"({acc_row.size}, {acc_row.size})"
-            )
-        if not np.allclose(cov, cov.T, atol=1e-12, rtol=0.0):
-            raise ValidationError("covariance matrix is not symmetric")
-        off = cov - np.diag(np.diag(cov))
-        total += float(w @ off @ w)
-    return total
+    return float(w**2 @ binomial_variances(acc_row, sizes))
 
 
-def difference_se(varA: float, varB: float, rho: float) -> float:
+def difference_se(varA, varB, rho: float):
     """Standard error of a score difference under correlation ``rho``.
 
-    Evaluates ``sqrt(varA + varB - 2 rho sqrt(varA varB))``; the radicand is
-    clamped at 0 against rounding when ``|rho|`` is at its bounds.
+    Evaluates ``sqrt(varA + varB - 2 rho sqrt(varA varB))`` elementwise over
+    broadcast arrays; the radicand is clamped at 0 against rounding when
+    ``|rho|`` is at its bounds.
     """
-    if varA < 0 or varB < 0:
+    if np.any(np.less(varA, 0)) or np.any(np.less(varB, 0)):
         raise ValueError("variances must be nonnegative")
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [-1, 1], got {rho}")
-    radicand = varA + varB - 2.0 * rho * math.sqrt(varA * varB)
-    return math.sqrt(max(radicand, 0.0))
+    radicand = varA + varB - 2.0 * rho * np.sqrt(varA * varB)
+    return np.sqrt(np.maximum(radicand, 0.0))
 
 
 def se_reduction_factor(k: float, rho: float) -> float:
@@ -276,10 +254,7 @@ def _top_two(scores: np.ndarray, variances: np.ndarray, z: float, rho: float):
     # where a scan from the runner-up down would stop.
     tied = second[:, None] - ranked[:, 1:] <= _TIE_RTOL * np.abs(first)[:, None]
     ranked_vars = np.take_along_axis(variances, order, axis=1)
-    var_top, var_k = ranked_vars[:, :1], ranked_vars[:, 1:]
-    # Same operation order as difference_se, clamped the same way.
-    radicand = var_top + var_k - 2.0 * rho * np.sqrt(var_top * var_k)
-    se = np.sqrt(np.maximum(radicand, 0.0))
+    se = difference_se(ranked_vars[:, :1], ranked_vars[:, 1:], rho)
     gap = first[:, None] - ranked[:, 1:]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(se > 0, gap / se, math.inf)
@@ -336,7 +311,7 @@ def simplex_scan(
 
     acc = accuracy_of(table).values
     n_models = len(table.models)
-    raw_vars = acc * (1.0 - acc) / table.sizes[None, :]
+    raw_vars = binomial_variances(acc, table.sizes)
     if normalizer is not None:
         span = normalizer.high - normalizer.low
         scores = normalize_scores(acc, normalizer)

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import benchuq
+from benchuq.errors import ConvergenceWarning
 from benchuq.cli import (
     EXIT_COMPUTE,
     EXIT_DATA,
@@ -413,6 +414,22 @@ def test_bhm_subcommand_outputs(tmp_path, capsys):
         assert isinstance(stats["ess"], float)
         assert stats["evals_per_step"] >= 3.0
         assert isinstance(stats["stepout_exhausted"], int)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("command", ["bhm", "report"])
+def test_strict_turns_convergence_warning_into_exit_3(tmp_path, capsys, command, strict):
+    # Ten iterations cannot converge: split-chain R-hat is far above 1.05.
+    argv = [command, "--out-dir", str(tmp_path), "--iterations", "10",
+            "--burn-in", "2", "--thinning", "1", "--seed", "0", "--formats", "json"]
+    if command == "report":
+        argv += ["--replicates", "50"]
+    if strict:
+        assert run([*argv, "--strict"]) == EXIT_COMPUTE
+        assert "convergence failure: split-chain R-hat" in capsys.readouterr().err
+    else:
+        with pytest.warns(ConvergenceWarning, match="R-hat"):
+            assert run(argv) == EXIT_OK
 
 
 def test_simstudy_bootstrap_only(tmp_path, capsys):

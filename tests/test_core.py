@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from benchuq import rng
 from benchuq.core import (
     AccuracyMatrix,
     EvalTable,
@@ -113,40 +112,10 @@ class TestSynthesizeCounts:
         assert np.array_equal(rebuilt.counts, src.counts)
         assert rebuilt.tasks == src.tasks
 
-    def test_jitter_mode_reproducible_and_unbiased(self):
-        acc = AccuracyMatrix(values=np.array([[0.684]]))
-        first = synthesize_counts(acc, sizes=[1000], seed=7, mode="jitter")
-        again = synthesize_counts(acc, sizes=[1000], seed=7, mode="jitter")
-        assert first.counts[0, 0] == again.counts[0, 0]
-
-        n_seeds = 10_000
-        draws = np.array(
-            [
-                synthesize_counts(acc, sizes=[1000], seed=s, mode="jitter").counts[0, 0]
-                for s in range(n_seeds)
-            ]
-        )
-        # Mean of Binomial(1000, .684) draws: 3 standard errors of the mean.
-        assert abs(draws.mean() - 684.0) < 3 * np.sqrt(1000 * 0.684 * 0.316) / 100
-        assert draws.std() > 0
-
-    def test_jitter_uses_dedicated_substream(self):
-        acc = AccuracyMatrix(values=np.array([[0.5]]))
-        expected = rng.substream(3, rng.JITTER).binomial(
-            np.array([[1000]]), np.array([[0.5]])
-        )[0, 0]
-        got = synthesize_counts(acc, sizes=[1000], seed=3, mode="jitter").counts[0, 0]
-        assert got == expected
-
     def test_size_mismatch_rejected(self):
         acc = AccuracyMatrix(values=np.array([[0.5, 0.5]]))
         with pytest.raises(ValidationError, match="sizes"):
             synthesize_counts(acc, sizes=[100])
-
-    def test_unknown_mode_rejected(self):
-        acc = AccuracyMatrix(values=np.array([[0.5]]))
-        with pytest.raises(ValidationError, match="mode"):
-            synthesize_counts(acc, sizes=[10], mode="shuffle")
 
     @given(
         st.lists(

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from benchuq.core import accuracy_of
+from benchuq.core import accuracy_of, validate_consistency
 from benchuq.fixtures import (
     VTAB_CATEGORIES,
     _data_dir,
     load_vtab,
-    vtab_consistency_report,
     vtab_published_means,
 )
 
@@ -36,8 +35,11 @@ def test_category_task_counts(table):
     assert by_cat == {"natural": 7, "specialized": 4, "structured": 8}
 
 
-def test_consistency_against_published_means():
-    report = vtab_consistency_report()
+def test_consistency_against_published_means(table):
+    # 0.1 percentage points absorbs the rounding chain from two-decimal
+    # stored accuracies through count recovery at the smallest test set
+    # (N = 711); `ingest` checks at the same default tolerance.
+    report = validate_consistency(table, vtab_published_means(), 0.1)
     assert report.passed, report.format()
     assert report.max_gap() <= 0.1
 

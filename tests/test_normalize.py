@@ -61,35 +61,6 @@ class TestBounds:
         assert np.all(large.low <= small.low)
         assert np.all(large.high >= small.high)
 
-    def test_csv_roundtrip(self, tmp_path):
-        bounds = NormalizationBounds(
-            tasks=("t1", "t2"), low=np.array([0.31, 0.4]), high=np.array([0.74, 0.62])
-        )
-        path = tmp_path / "bounds.csv"
-        text = bounds.to_csv(path)
-        assert text.splitlines()[0] == "task,low,high"
-        back = NormalizationBounds.from_csv(path)
-        assert back.tasks == bounds.tasks
-        assert np.array_equal(back.low, bounds.low)
-        assert np.array_equal(back.high, bounds.high)
-
-    def test_from_csv_rejects_bad_header(self, tmp_path):
-        path = tmp_path / "bounds.csv"
-        path.write_text("task,lo,hi\nt1,0,1\n")
-        with pytest.raises(ValidationError, match="header"):
-            NormalizationBounds.from_csv(path)
-
-    def test_from_csv_missing_file_is_validation_error(self, tmp_path):
-        with pytest.raises(ValidationError, match="absent.csv"):
-            NormalizationBounds.from_csv(tmp_path / "absent.csv")
-
-    def test_from_csv_skips_comment_before_header(self, tmp_path):
-        path = tmp_path / "bounds.csv"
-        path.write_text("# chance-level floors\ntask,low,high\nt1,0.25,1.0\n")
-        back = NormalizationBounds.from_csv(path)
-        assert back.tasks == ("t1",)
-        assert back.low.tolist() == [0.25] and back.high.tolist() == [1.0]
-
 
 class TestNormalizeScores:
     BOUNDS = NormalizationBounds(

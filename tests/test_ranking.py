@@ -20,14 +20,7 @@ from benchuq.bootstrap import (
 from benchuq.core import EvalTable, TaskSpec
 from benchuq.errors import ValidationError
 from benchuq.normalize import estimate_bounds, normalize_scores
-from benchuq.ranking import (
-    RankScheme,
-    _descending_ranks,
-    average_rank,
-    rank_intervals,
-    ranks_by_average,
-    ranks_by_geometric_mean,
-)
+from benchuq.ranking import RankScheme, _descending_ranks, rank_intervals
 
 
 def small_table():
@@ -40,19 +33,29 @@ def small_table():
     return EvalTable(models=("A", "B", "C"), tasks=tasks, counts=counts)
 
 
+def points(acc, scheme, **kw):
+    """Rank points of two stacked copies of one accuracy matrix.
+
+    Both copies rank alike (the noise scheme aside), so each point is that
+    matrix's rank.
+    """
+    samples = np.stack([np.asarray(acc, dtype=float)] * 2)
+    return [s.point for s in rank_intervals(samples, scheme, **kw)]
+
+
 # ---------------------------------------------------------------- by average
 
 
 def test_by_average_orders_by_mean():
     acc = np.array([[0.9, 0.5], [0.8, 0.7], [0.1, 0.2]])
     # means: 0.7, 0.75, 0.15 -> ranks 2, 1, 3
-    assert ranks_by_average(acc).tolist() == [2.0, 1.0, 3.0]
+    assert points(acc, RankScheme.BY_AVERAGE) == [2.0, 1.0, 3.0]
 
 
 def test_by_average_fractional_tie():
     acc = np.array([[0.6, 0.8], [0.8, 0.6], [0.5, 0.5]])
     # means: 0.7, 0.7, 0.5 -> the tied pair shares (1+2)/2
-    assert ranks_by_average(acc).tolist() == [1.5, 1.5, 3.0]
+    assert points(acc, RankScheme.BY_AVERAGE) == [1.5, 1.5, 3.0]
 
 
 # ---------------------------------------------------------- geometric mean
@@ -61,22 +64,21 @@ def test_by_average_fractional_tie():
 def test_geometric_mean_rewards_consistency():
     # Same arithmetic mean, different spread: GM prefers the even profile.
     acc = np.array([[0.5, 0.5], [0.9, 0.1]])
-    ranks = ranks_by_geometric_mean(acc)
-    assert ranks.tolist() == [1.0, 2.0]
+    assert points(acc, RankScheme.GEOMETRIC_MEAN) == [1.0, 2.0]
 
 
 def test_geometric_mean_zero_ranks_last_and_warns():
     acc = np.array([[0.99, 0.0], [0.2, 0.2], [0.3, 0.0]])
-    with pytest.warns(UserWarning, match="zero accuracy"):
-        ranks = ranks_by_geometric_mean(acc)
+    with pytest.warns(UserWarning, match="^4 .*zero accuracy"):
+        ranks = points(acc, RankScheme.GEOMETRIC_MEAN)
     # Both zero-GM models tie behind the all-positive one.
-    assert ranks.tolist() == [2.5, 1.0, 2.5]
+    assert ranks == [2.5, 1.0, 2.5]
 
 
 def test_geometric_mean_no_warning_when_positive():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ranks_by_geometric_mean(np.array([[0.5, 0.6], [0.7, 0.8]]))
+        points(np.array([[0.5, 0.6], [0.7, 0.8]]), RankScheme.GEOMETRIC_MEAN)
 
 
 # ------------------------------------------------------------- average rank
@@ -85,8 +87,7 @@ def test_geometric_mean_no_warning_when_positive():
 def test_average_rank_enumeration():
     # A beats B on 3 of 4 tasks -> A (1+1+1+2)/4 = 1.25, B 1.75.
     acc = np.array([[0.9, 0.8, 0.7, 0.1], [0.8, 0.7, 0.6, 0.2]])
-    ranks = average_rank(acc)
-    assert ranks.tolist() == [1.25, 1.75]
+    assert points(acc, RankScheme.AVERAGE_RANK) == [1.25, 1.75]
 
 
 def test_average_rank_per_task_rank_sum_preserved():
@@ -99,44 +100,42 @@ def test_average_rank_per_task_rank_sum_preserved():
 def test_binned_groups_near_ties():
     # 67.2% and 67.9% share the floor bucket 67 -> both rank (1+2)/2 = 1.5.
     acc = np.array([[0.672], [0.679], [0.5]])
-    ranks = average_rank(acc, variant="binned", bin_width=1.0)
-    assert ranks.tolist() == [1.5, 1.5, 3.0]
+    ranks = points(acc, RankScheme.AVERAGE_RANK_BINNED, bin_width=1.0)
+    assert ranks == [1.5, 1.5, 3.0]
 
 
 def test_binned_anchored_at_integer_multiples():
     # 66.9% vs 67.05%: distinct floor buckets even though only 0.15pp apart.
     acc = np.array([[0.669], [0.6705]])
-    ranks = average_rank(acc, variant="binned", bin_width=1.0)
-    assert ranks.tolist() == [2.0, 1.0]
+    ranks = points(acc, RankScheme.AVERAGE_RANK_BINNED, bin_width=1.0)
+    assert ranks == [2.0, 1.0]
 
 
 def test_noise_sd_zero_equals_plain_exactly():
-    gen = rng_mod.substream(3, rng_mod.RANK_NOISE, 0)
     acc = np.random.default_rng(0).uniform(0.2, 0.9, size=(5, 7))
-    noisy = average_rank(acc, variant="noise", noise_sd=0.0, rng=gen)
-    assert np.array_equal(noisy, average_rank(acc))
+    samples = np.stack([acc] * 4)
+    noisy = rank_intervals(samples, RankScheme.AVERAGE_RANK_NOISE, noise_sd=0.0, seed=3)
+    plain = rank_intervals(samples, RankScheme.AVERAGE_RANK)
+    assert [s.interval for s in noisy] == [s.interval for s in plain]
 
 
 def test_noise_can_split_exact_ties():
     acc = np.full((2, 3), 0.5)
-    gen = rng_mod.substream(11, rng_mod.RANK_NOISE, 0)
-    ranks = average_rank(acc, variant="noise", noise_sd=1.0, rng=gen)
-    # Continuous noise gives each of the 3 tasks a strict winner, so the two
-    # mean ranks cannot both be 1.5 (that would need 1.5 wins each).
-    assert ranks[0] != ranks[1]
-    assert ranks.sum() == pytest.approx(3.0)  # per-task rank sum 1+2
+    plain = rank_intervals(np.stack([acc] * 20), RankScheme.AVERAGE_RANK)
+    assert all((s.interval.lower, s.interval.upper) == (1.5, 1.5) for s in plain)
+    noisy = rank_intervals(np.stack([acc] * 20), RankScheme.AVERAGE_RANK_NOISE, seed=11)
+    # Continuous noise gives each of the 3 tasks a strict winner, so a
+    # sample's mean rank is a multiple of 1/3 and never the tied 1.5.
+    assert all(s.interval.lower < s.interval.upper for s in noisy)
+    assert sum(s.point for s in noisy) == pytest.approx(3.0)  # rank sum 1+2
 
 
 def test_average_rank_validation():
-    acc = np.array([[0.5], [0.6]])
-    with pytest.raises(ValidationError, match="variant"):
-        average_rank(acc, variant="bogus")
+    samples = np.stack([np.array([[0.5], [0.6]])] * 2)
     with pytest.raises(ValidationError, match="bin width"):
-        average_rank(acc, variant="binned", bin_width=0.0)
+        rank_intervals(samples, RankScheme.AVERAGE_RANK_BINNED, bin_width=0.0)
     with pytest.raises(ValidationError, match="noise sd"):
-        average_rank(acc, variant="noise", noise_sd=-1.0, rng=np.random.default_rng(0))
-    with pytest.raises(ValidationError, match="random stream"):
-        average_rank(acc, variant="noise")
+        rank_intervals(samples, RankScheme.AVERAGE_RANK_NOISE, noise_sd=-1.0)
 
 
 @given(
@@ -152,10 +151,9 @@ def test_rank_mean_invariant(acc):
     # permutation-with-ties of 1..M in each task column.
     m = acc.shape[0]
     expected = (m + 1) / 2
-    assert average_rank(acc).mean() == pytest.approx(expected)
-    assert average_rank(acc, variant="binned").mean() == pytest.approx(expected)
-    gen = rng_mod.substream(0, rng_mod.RANK_NOISE, 0)
-    assert average_rank(acc, variant="noise", rng=gen).mean() == pytest.approx(expected)
+    for scheme in (RankScheme.AVERAGE_RANK, RankScheme.AVERAGE_RANK_BINNED,
+                   RankScheme.AVERAGE_RANK_NOISE):
+        assert np.mean(points(acc, scheme)) == pytest.approx(expected)
 
 
 @given(
@@ -169,11 +167,9 @@ def test_rank_mean_invariant(acc):
 @settings(max_examples=60, deadline=None)
 def test_binned_converges_to_plain_for_tiny_bins(acc):
     # With all-distinct accuracies a fine enough bin separates every pair.
-    plain = average_rank(acc)
-    binned = average_rank(acc, variant="binned", bin_width=1e-7)
-    assert np.array_equal(plain, binned)
-
-
+    plain = points(acc, RankScheme.AVERAGE_RANK)
+    binned = points(acc, RankScheme.AVERAGE_RANK_BINNED, bin_width=1e-7)
+    assert plain == binned
 # ------------------------------------------------------------ rank intervals
 
 
@@ -206,12 +202,7 @@ def test_rank_intervals_accepts_scheme_strings(store):
 
 def test_rank_intervals_points_average_the_sample_ranks(store):
     summaries = rank_intervals(store, RankScheme.AVERAGE_RANK)
-    ranks = np.array(
-        [
-            average_rank(store.replicates[s])
-            for s in range(store.n_replicates)
-        ]
-    )
+    ranks = _reference_ranks(store.replicates, RankScheme.AVERAGE_RANK, store.seed)
     for i, s in enumerate(summaries):
         assert s.point == pytest.approx(ranks[:, i].mean())
 
@@ -235,19 +226,7 @@ def test_rank_intervals_noise_keyed_by_sample_index(store):
     # The noise for sample s comes from substream(seed, RANK_NOISE, s): the
     # first sample's ranks match a manual draw from that exact stream.
     summaries = rank_intervals(store, RankScheme.AVERAGE_RANK_NOISE, seed=store.seed)
-    gen = rng_mod.substream(store.seed, rng_mod.RANK_NOISE, 0)
-    manual_first = average_rank(store.replicates[0], variant="noise", rng=gen)
-    ranks = np.array(
-        [
-            average_rank(
-                store.replicates[s],
-                variant="noise",
-                rng=rng_mod.substream(store.seed, rng_mod.RANK_NOISE, s),
-            )
-            for s in range(store.n_replicates)
-        ]
-    )
-    assert np.array_equal(ranks[0], manual_first)
+    ranks = _reference_ranks(store.replicates, RankScheme.AVERAGE_RANK_NOISE, store.seed)
     for i, s in enumerate(summaries):
         assert s.point == pytest.approx(ranks[:, i].mean())
 

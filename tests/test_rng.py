@@ -33,15 +33,9 @@ def test_substream_matches_seedsequence_construction():
 
 
 def test_purpose_constants_are_distinct():
-    purposes = [
-        rng.BOOTSTRAP,
-        rng.CHAIN,
-        rng.RANK_NOISE,
-        rng.JITTER,
-        rng.PREDICTIVE,
-        rng.COVERAGE,
-    ]
-    assert purposes == [0, 1, 2, 3, 4, 5]
+    # Keys 3 and 5 are retired; renumbering the rest would move every stream.
+    purposes = [rng.BOOTSTRAP, rng.CHAIN, rng.RANK_NOISE, rng.PREDICTIVE]
+    assert purposes == [0, 1, 2, 4]
 
 
 def test_large_seed_is_wrapped_not_rejected():

@@ -11,7 +11,6 @@ from benchuq.errors import ValidationError
 from benchuq.viz import (
     INDETERMINATE_COLOR,
     PALETTE,
-    RenderSpec,
     render_ternary,
 )
 from benchuq.weighting import INDETERMINATE, SimplexCell, SimplexField, simplex_scan
@@ -121,12 +120,10 @@ def test_ternary_cells_lie_inside_outer_triangle():
 def test_ternary_caption_and_axis_labels():
     field = lattice_field()
     svg = render_ternary(field)
-    assert "z = 2, rho = 0" in svg
-    assert ">natural<" in svg and ">specialized<" in svg and ">structured<" in svg
-    relabeled = render_ternary(
-        field, RenderSpec(axis_labels=("Nat", "Sp", "Str"))
-    )
-    assert ">Nat<" in relabeled and ">Str<" in relabeled
+    assert "z = 2, rho = 0, grid step 0.25" in svg
+    texts = [t.text for t in ET.fromstring(svg).findall(f".//{SVG}text")]
+    # Bottom-left, bottom-right, top: the third, first and second category.
+    assert texts[:3] == ["structured", "natural", "specialized"]
 
 
 def test_ternary_label_escaping():
@@ -137,25 +134,30 @@ def test_ternary_label_escaping():
 
 
 def test_ternary_palette_exhaustion():
-    field = simplex_scan(gapped_table(), ("natural", "specialized", "structured"),
-                         grid_step=0.5)
-    with pytest.raises(ValidationError, match="palette"):
-        render_ternary(field, RenderSpec(palette=("#111111", "#222222")))
+    field = lattice_field(steps=5)  # 21 cells
+    names = [f"m{i}" for i in range(len(PALETTE) + 1)]
+    cells = tuple(
+        SimplexCell(weights=c.weights, winner=names[k % len(names)], margin=5.0)
+        for k, c in enumerate(field.cells)
+    )
+    crowded = SimplexField(field.categories, field.grid_step, field.z,
+                           field.rho, cells)
+    assert len(crowded.winners()) == 17
+    with pytest.raises(ValidationError, match="16 colors for 17"):
+        render_ternary(crowded)
+    assert render_ternary(SimplexField(field.categories, field.grid_step, field.z,
+                                       field.rho, cells[:16]))
 
 
-def test_ternary_model_order_controls_colors():
+def test_ternary_colors_follow_first_appearance():
     field = simplex_scan(gapped_table(), ("natural", "specialized", "structured"),
                          grid_step=0.25)
-    svg = render_ternary(field, model_order=("R", "S", "N"))
-    root = ET.fromstring(svg)
+    root = ET.fromstring(render_ternary(field))
+    winners = field.winners()
     rects = root.findall(f".//{SVG}rect")
-    # First three legend swatches follow model_order (a gray INDETERMINATE
-    # swatch may trail them).
-    assert [r.get("fill") for r in rects[:3]] == list(PALETTE[:3])
+    assert [r.get("fill") for r in rects[:len(winners)]] == list(PALETTE[:len(winners)])
     texts = [t.text for t in root.findall(f".//{SVG}text")]
-    assert texts[3:6] == ["R", "S", "N"]  # legend order after axis labels
-    with pytest.raises(ValidationError, match="missing winners"):
-        render_ternary(field, model_order=("R", "S"))
+    assert texts[3:3 + len(winners)] == list(winners)  # legend after axis labels
 
 
 def test_ternary_writes_file(tmp_path):
