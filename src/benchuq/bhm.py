@@ -25,10 +25,8 @@ conditional, which the tests verify directly.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 from warnings import warn
 
@@ -37,7 +35,7 @@ from scipy.special import betaln
 
 from . import rng as _rng
 from .bootstrap import IntervalEstimate, percentile_interval
-from .core import EvalTable, write_long_csv
+from .core import EvalTable
 from .errors import ConvergenceWarning, SliceSamplerError, ValidationError
 from .weighting import UNWEIGHTED, WeightVector, resolve_task_weights
 
@@ -216,23 +214,6 @@ class PosteriorDraws:
             return self.models.index(model)
         except ValueError:
             raise KeyError(f"unknown model {model!r}") from None
-
-    def to_csv(self, directory) -> None:
-        """Dump draws as theta.csv and hyper.csv with a config.json echo."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        K = self.config.retained_per_chain
-        burn, step = self.config.burn_in, self.config.thinning
-        # Draws are chain-major: draw s is chain s // K at kept step s % K.
-        draws = (range(self.n_draws // K), range(burn + step, burn + (K + 1) * step, step))
-        task_ids = [getattr(t, "task_id", str(t)) for t in self.tasks]
-        write_long_csv(directory / "theta.csv",
-                       ("chain", "iteration", "model", "task", "theta"),
-                       (*draws, self.models, task_ids), (self.theta,))
-        write_long_csv(directory / "hyper.csv",
-                       ("chain", "iteration", "model", "alpha", "beta"),
-                       (*draws, self.models), (self.alpha, self.beta))
-        (directory / "config.json").write_text(json.dumps(asdict(self.config), indent=2))
 
 
 def gibbs_theta_update(Y, N, alpha, beta, rng: np.random.Generator):

@@ -4,8 +4,9 @@ Resampling N_j test instances with replacement and recounting successes is
 distributionally identical to drawing the success count directly from
 Binomial(N_j, Y_ij / N_j), so each replicate cell is a single binomial draw
 — O(1) memory per cell no matter how large the test set.  Replicate r is a
-pure function of (table, seed, r): it is drawn from its own random
-substream, so the store does not depend on the order replicates are drawn in.
+pure function of (table, seed, r): it is drawn from the substream keyed on
+(seed, BOOTSTRAP, r), so it does not depend on B or on the order replicates
+are drawn in.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as _rng
-from .core import EvalTable, accuracy_of, write_long_csv
+from .core import EvalTable, accuracy_of
 from .errors import CapacityError, ValidationError
 from .normalize import NormalizationBounds, normalize_scores
 from .weighting import UNWEIGHTED, WeightVector, resolve_task_weights
@@ -29,7 +30,6 @@ __all__ = [
     "PAIRWISE_LEVEL",
     "IntervalEstimate",
     "ReplicateStore",
-    "draw_replicate",
     "run_bootstrap",
     "percentile_interval",
     "aggregate_interval",
@@ -93,28 +93,6 @@ class ReplicateStore:
     def n_replicates(self) -> int:
         return self.replicates.shape[0]
 
-    def to_csv(self, path) -> None:
-        """Audit dump as ``replicate,model,task,accuracy``; .gz compresses."""
-        task_ids = [t.task_id for t in self.source.tasks]
-        write_long_csv(path, ("replicate", "model", "task", "accuracy"),
-                       (range(self.n_replicates), self.source.models, task_ids),
-                       (self.replicates,))
-
-
-def draw_replicate(table: EvalTable, replicate_index: int, seed: int) -> np.ndarray:
-    """One bootstrap resample of every cell, as a models x tasks accuracy matrix.
-
-    Cell (i, j) is Y*_ij / N_j with Y*_ij ~ Binomial(N_j, Y_ij / N_j), drawn
-    from the substream keyed on (seed, BOOTSTRAP, replicate_index) in fixed
-    row-major cell order — bit-identical regardless of execution order.
-    """
-    return _draw(seed, replicate_index, table.sizes, accuracy_of(table).values)
-
-
-def _draw(seed: int, r: int, sizes: np.ndarray, p_hat: np.ndarray) -> np.ndarray:
-    gen = _rng.substream(seed, _rng.BOOTSTRAP, r)
-    return gen.binomial(sizes[None, :], p_hat) / sizes[None, :]
-
 
 _MEMINFO = Path("/proc/meminfo")
 _CGROUP_MEMORY_MAX = Path("/sys/fs/cgroup/memory.max")  # cgroup v2
@@ -177,28 +155,30 @@ def run_bootstrap(
     table: EvalTable,
     B: int = DEFAULT_REPLICATES,
     seed: int = 0,
-    max_bytes: int | None = None,
 ) -> ReplicateStore:
     """Draw B bootstrap replicates of the whole table.
 
-    Replicate r comes from its own substream (see :func:`draw_replicate`),
-    so the store's content depends only on (table, B, seed).  Raises a
-    capacity error before allocating if the replicate block would not fit in
-    ``max_bytes`` (default: currently available physical memory).
+    Replicate r draws every cell (i, j) as Y*_ij / N_j with Y*_ij ~
+    Binomial(N_j, Y_ij / N_j), in fixed row-major cell order, from the
+    substream keyed on (seed, BOOTSTRAP, r).  So replicate r is bit-identical
+    in every store drawn with the same seed, whatever B.  Raises a capacity
+    error before allocating if the replicate block would not fit in the
+    memory currently available.
     """
     if B < 1:
         raise ValidationError(f"replicate count must be >= 1, got {B}")
     n_models, n_tasks = table.counts.shape
     requested = B * n_models * n_tasks * np.dtype(float).itemsize
-    available = max_bytes if max_bytes is not None else _available_bytes()
+    available = _available_bytes()
     if available is not None and requested > available:
         raise CapacityError(requested, available)
 
     out = np.empty((B, n_models, n_tasks))
-    sizes = table.sizes
+    sizes = table.sizes[None, :]
     p_hat = accuracy_of(table).values
     for r in range(B):
-        out[r] = _draw(seed, r, sizes, p_hat)
+        gen = _rng.substream(seed, _rng.BOOTSTRAP, r)
+        out[r] = gen.binomial(sizes, p_hat) / sizes
     return ReplicateStore(replicates=out, seed=seed, source=table)
 
 

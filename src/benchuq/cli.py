@@ -23,6 +23,7 @@ import numpy as np
 
 from . import report as rpt
 from .bhm import (
+    DEFAULT_PRIOR_RATE,
     McmcConfig,
     PriorSpec,
     credible_interval,
@@ -115,15 +116,15 @@ def _add_bootstrap_args(p: _Parser) -> None:
 
 
 def _add_mcmc_args(p: _Parser) -> None:
-    p.add_argument("--iterations", type=int, default=12_000,
+    p.add_argument("--iterations", type=int, default=McmcConfig.total_iterations,
                    help="MCMC iterations per chain (default: %(default)s)")
-    p.add_argument("--burn-in", type=int, default=2_000,
+    p.add_argument("--burn-in", type=int, default=McmcConfig.burn_in,
                    help="discarded initial iterations (default: %(default)s)")
-    p.add_argument("--thinning", type=int, default=5,
+    p.add_argument("--thinning", type=int, default=McmcConfig.thinning,
                    help="keep every k-th draw (default: %(default)s)")
-    p.add_argument("--chains", type=int, default=4,
+    p.add_argument("--chains", type=int, default=McmcConfig.chains,
                    help="independent chains (default: %(default)s)")
-    p.add_argument("--prior-rate", type=float, default=1.0 / 10_000,
+    p.add_argument("--prior-rate", type=float, default=DEFAULT_PRIOR_RATE,
                    help="rate of the exponential hyperpriors "
                         "(default: %(default)s)")
     p.add_argument("--strict", action="store_true",
@@ -530,10 +531,8 @@ def cmd_simplex(args) -> int:
             fields.append((stem, field))
             name = f"{stem}_{z:g}_{rho:g}"
             if "csv" in formats:
-                path = out_dir / f"{name}.csv"
-                path.parent.mkdir(parents=True, exist_ok=True)
-                field.to_csv(path)
-                written.append(path)
+                written.append(rpt.write_text(out_dir / f"{name}.csv",
+                                              rpt.simplex_csv(field)))
             svg = render_ternary(field)
             written.append(rpt.write_text(out_dir / f"{name}.svg", svg))
     payload = {
@@ -585,17 +584,20 @@ def cmd_report(args) -> int:
                            _interval_rows(order, columns), columns, formats)
 
     top = order[:PAIRWISE_TOP]
-    pair_columns = {
-        label: {f"{a} - {b}": est for (a, b), est in intervals}
-        for label, intervals in (
-            ("Diff (bootstrap)", pairwise_difference_intervals(store, top)),
-            ("Diff (normalized)",
-             pairwise_difference_intervals(store, top, normalizer=bounds)),
-        )
-    }
-    pair_rows = _interval_rows(list(pair_columns["Diff (bootstrap)"]), pair_columns)
-    written += _emit_tables(out_dir, "pairwise", pair_rows, pair_columns,
-                            formats, label="Pair")
+    pair_columns = {}
+    if len(top) >= 2:  # a lone model has no pairs to compare
+        pair_columns = {
+            label: {f"{a} - {b}": est for (a, b), est in intervals}
+            for label, intervals in (
+                ("Diff (bootstrap)", pairwise_difference_intervals(store, top)),
+                ("Diff (normalized)",
+                 pairwise_difference_intervals(store, top, normalizer=bounds)),
+            )
+        }
+        pair_rows = _interval_rows(list(pair_columns["Diff (bootstrap)"]),
+                                   pair_columns)
+        written += _emit_tables(out_dir, "pairwise", pair_rows, pair_columns,
+                                formats, label="Pair")
 
     sections = _rank_sections(store, bounds, ALL_SCHEMES, args.rank_level, True)
     written += _rank_table_files(out_dir, sections, formats)

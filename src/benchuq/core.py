@@ -8,11 +8,9 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import csv
-import gzip
-import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -183,33 +181,6 @@ def read_csv_rows(path, columns=None) -> tuple[list[str], list[tuple[int, list[s
             f"{canonical!r} (accepted spellings: {accepted!r})"
         )
     return header, rows[1:]
-
-
-def _csv_field(label) -> str:
-    """One CSV field: ``label`` as text, quoted if it holds , " or a line break."""
-    text = str(label)
-    if any(ch in text for ch in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def write_long_csv(path, header, axes, columns) -> None:
-    """Write arrays as a long-format CSV, one row per array cell.
-
-    ``axes`` holds the labels along each array axis; rows run over their
-    product in C order.  ``columns`` holds one array per value column, each
-    with one entry per row.  Labels are quoted as the ``csv`` module quotes
-    them, so only those holding a comma, a quote or a line break change;
-    values are written with ``repr``, which reads back bit-exact.  A ``.gz``
-    suffix gzips the file.
-    """
-    path = Path(path)
-    opener = gzip.open if path.suffix == ".gz" else open
-    keys = map(",".join, itertools.product(*([_csv_field(v) for v in ax] for ax in axes)))
-    values = map(",".join, zip(*(map(repr, np.ravel(c).tolist()) for c in columns)))
-    with opener(path, "wt", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(f"{key},{row}\n" for key, row in zip(keys, values))
 
 
 def load_task_file(path) -> tuple[TaskSpec, ...]:

@@ -15,8 +15,9 @@ and does not reproduce the published column: on the bundled fixture it
 overshoots the top-three binned points (4.47, 4.81, 5.81 against 4.2,
 4.5, 5.5), two of them beyond the +-0.3 release gate.
 
-Noise and binning operate on the 0-100 percentage scale: standard normal
-noise on the fraction scale would drown the signal entirely.
+Noise and binning operate on the 0-100 percentage scale, with a fixed noise
+sd of 1 percentage point and a fixed bin width of 1 percentage point:
+standard normal noise on the fraction scale would drown the signal entirely.
 """
 
 from __future__ import annotations
@@ -42,6 +43,11 @@ __all__ = [
 # stay in cache: on a 64 x 57 table, blocks of 2**18 cells ranked at half
 # the speed.
 _BLOCK_CELLS = 1 << 16
+
+# The noise sd of AverageRankNoise and the bin width of AverageRankBinned, in
+# percentage points: standard normal noise and 1%-wide bins.
+_NOISE_SD = 1.0
+_BIN_WIDTH = 1.0
 
 
 class RankScheme(str, enum.Enum):
@@ -92,7 +98,7 @@ def _descending_ranks(values: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.moveaxis(ranks, -1, axis)
 
 
-def _block_ranks(block, scheme, bin_width=1.0, noise=None):
+def _block_ranks(block, scheme, noise=None):
     """Per-sample ranks of a samples x models x tasks block.
 
     Returns the samples x models ranks and the number of (sample, model)
@@ -111,7 +117,7 @@ def _block_ranks(block, scheme, bin_width=1.0, noise=None):
     if scheme == RankScheme.AVERAGE_RANK_NOISE:
         percent += noise
     elif scheme == RankScheme.AVERAGE_RANK_BINNED:
-        percent /= bin_width
+        percent /= _BIN_WIDTH
         np.floor(percent, out=percent)
     return _descending_ranks(percent, axis=1).mean(axis=2), 0
 
@@ -120,8 +126,6 @@ def rank_intervals(
     samples,
     scheme: RankScheme | str,
     level: float = DISPLAY_LEVEL,
-    noise_sd: float = 1.0,
-    bin_width: float = 1.0,
     seed: int | None = None,
     models=None,
     method: str | None = None,
@@ -130,9 +134,10 @@ def rank_intervals(
 
     ``samples`` is a bootstrap ReplicateStore or a samples x models x tasks
     array (e.g. posterior-predictive accuracies — tagged accordingly).  The
-    noise variant draws fresh noise per sample from the RANK_NOISE substream
-    of ``seed`` (default: the store's seed, else 0), keyed by sample index,
-    so results do not depend on evaluation order.
+    noise variant adds normal noise of sd 1 percentage point, drawn fresh
+    per sample from the RANK_NOISE substream of ``seed`` (default: the
+    store's seed, else 0) keyed by sample index, so results do not depend on
+    evaluation order.  The binned variant uses bins 1 percentage point wide.
     """
     scheme = RankScheme(scheme)
     if isinstance(samples, ReplicateStore):
@@ -159,11 +164,6 @@ def rank_intervals(
     if len(models) != n_models:
         raise ValidationError(f"{len(models)} names for {n_models} models")
 
-    if scheme == RankScheme.AVERAGE_RANK_NOISE and noise_sd < 0:
-        raise ValidationError(f"noise sd must be >= 0, got {noise_sd}")
-    if scheme == RankScheme.AVERAGE_RANK_BINNED and bin_width <= 0:
-        raise ValidationError(f"bin width must be > 0, got {bin_width}")
-
     step = max(1, _BLOCK_CELLS // max(1, n_models * n_tasks))
     ranks = np.empty((n_samples, n_models))
     n_zero = 0
@@ -173,13 +173,11 @@ def rank_intervals(
         if scheme == RankScheme.AVERAGE_RANK_NOISE:
             noise = np.stack([
                 _rng.substream(seed, _rng.RANK_NOISE, s).normal(
-                    0.0, noise_sd, size=(n_models, n_tasks)
+                    0.0, _NOISE_SD, size=(n_models, n_tasks)
                 )
                 for s in range(lo, lo + len(block))
             ])
-        ranks[lo : lo + len(block)], zeros = _block_ranks(
-            block, scheme, bin_width, noise
-        )
+        ranks[lo : lo + len(block)], zeros = _block_ranks(block, scheme, noise)
         n_zero += zeros
     if n_zero:
         warnings.warn(

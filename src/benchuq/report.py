@@ -1,8 +1,8 @@
 """Table and document emission for computed estimates.
 
 Everything here is presentation: the statistics modules produce
-IntervalEstimate / RankSummary objects and this module lays them out as
-markdown, CSV, or one JSON document.  No number is recomputed during
+IntervalEstimate, RankSummary and SimplexField objects and this module lays
+them out as markdown, CSV, or one JSON document.  No number is recomputed during
 formatting, so a report is byte-stable for identical inputs; percentages
 are scaled and rounded only at the final string conversion.
 """
@@ -16,6 +16,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .bootstrap import IntervalEstimate
+from .weighting import SimplexField
 
 REPORT_FORMATS = ("markdown", "csv", "json")
 
@@ -98,6 +99,18 @@ def interval_csv_rows(rows, columns, label: str = "model"):
                 line += [repr(est.lower), repr(est.point), repr(est.upper)]
         out.append(line)
     return headers, out
+
+
+def simplex_csv(field: SimplexField) -> str:
+    """One ``w_nat,w_sp,w_str,winner,margin_se`` row per simplex cell.
+
+    Weight columns follow the field's category order.
+    """
+    rows = (
+        [f"{w:.6g}" for w in cell.weights] + [cell.winner, f"{cell.margin:.6g}"]
+        for cell in field.cells
+    )
+    return csv_table(("w_nat", "w_sp", "w_str", "winner", "margin_se"), rows)
 
 
 def write_text(path, content: str) -> Path:

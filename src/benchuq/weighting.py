@@ -13,11 +13,8 @@ errors of zero.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -217,25 +214,6 @@ class SimplexField:
         """Distinct determinate winners in first-appearance order."""
         winners = (cell.winner for cell in self.cells if cell.winner != INDETERMINATE)
         return tuple(dict.fromkeys(winners))
-
-    def to_csv(self, path=None) -> str:
-        """Write cells as ``w_nat,w_sp,w_str,winner,margin_se`` rows.
-
-        Weight columns follow the field's category order.  Returns the CSV
-        text; writes it to ``path`` when given.
-        """
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["w_nat", "w_sp", "w_str", "winner", "margin_se"])
-        for cell in self.cells:
-            writer.writerow(
-                [f"{w:.6g}" for w in cell.weights]
-                + [cell.winner, f"{cell.margin:.6g}"]
-            )
-        text = buf.getvalue()
-        if path is not None:
-            Path(path).write_text(text)
-        return text
 
 
 def _top_two(scores: np.ndarray, variances: np.ndarray, z: float, rho: float):

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -637,23 +636,3 @@ class TestDiagnostics:
         for t in range(1, 2_000):
             x[:, t] = 0.99 * x[:, t - 1] + math.sqrt(1 - 0.99**2) * noise[:, t]
         assert effective_sample_size(x) < 400
-
-
-class TestExport:
-    def test_csv_dump_and_config_echo(self, tmp_path):
-        config = quick_config(total_iterations=30, burn_in=10, thinning=5, chains=2)
-        draws = fit_bhm(tiny_table(), config=config)
-        draws.to_csv(tmp_path)
-        theta_lines = (tmp_path / "theta.csv").read_text().splitlines()
-        hyper_lines = (tmp_path / "hyper.csv").read_text().splitlines()
-        assert theta_lines[0] == "chain,iteration,model,task,theta"
-        assert hyper_lines[0] == "chain,iteration,model,alpha,beta"
-        S = draws.n_draws
-        assert len(theta_lines) == 1 + S * 2 * 2
-        assert len(hyper_lines) == 1 + S * 2
-        # Retained iterations are burn_in + multiples of the thinning stride.
-        first = theta_lines[1].split(",")
-        assert first[0] == "0" and first[1] == "15"
-        echo = json.loads((tmp_path / "config.json").read_text())
-        assert echo["total_iterations"] == 30
-        assert echo["seed"] == config.seed

@@ -1,15 +1,14 @@
-import gzip
 import math
 
 import numpy as np
 import pytest
 
 from benchuq import bootstrap
+from benchuq import rng as rng_mod
 from benchuq.bootstrap import (
     IntervalEstimate,
     ReplicateStore,
     aggregate_interval,
-    draw_replicate,
     pairwise_difference_intervals,
     percentile_interval,
     run_bootstrap,
@@ -63,21 +62,23 @@ class TestIntervalEstimate:
 class TestDrawReplicate:
     def test_zero_count_stays_zero(self):
         table = table_of([[0, 50]], [100, 100])
-        for r in range(20):
-            assert draw_replicate(table, r, seed=1)[0, 0] == 0.0
+        replicates = run_bootstrap(table, B=20, seed=1).replicates
+        assert np.all(replicates[:, 0, 0] == 0.0)
 
     def test_full_count_stays_one(self):
         table = table_of([[100, 50]], [100, 100])
-        for r in range(20):
-            assert draw_replicate(table, r, seed=1)[0, 0] == 1.0
+        replicates = run_bootstrap(table, B=20, seed=1).replicates
+        assert np.all(replicates[:, 0, 0] == 1.0)
 
     def test_replicate_is_pure_function_of_inputs(self):
+        # Replicate 7 depends on (table, seed, 7) only, not on the store's B.
         table = sim_study_table()
-        a = draw_replicate(table, 7, seed=42)
-        b = draw_replicate(table, 7, seed=42)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, draw_replicate(table, 8, seed=42))
-        assert not np.array_equal(a, draw_replicate(table, 7, seed=43))
+        short = run_bootstrap(table, B=8, seed=42).replicates
+        long = run_bootstrap(table, B=20, seed=42).replicates
+        assert np.array_equal(short[7], long[7])
+        assert not np.array_equal(long[7], long[8])
+        other_seed = run_bootstrap(table, B=8, seed=43).replicates
+        assert not np.array_equal(short[7], other_seed[7])
 
     def test_moments_match_binomial_oracle(self):
         # Y=100 of N=200: mean 0.5, variance 0.5*0.5/200 = 0.00125.
@@ -90,9 +91,14 @@ class TestDrawReplicate:
 
 class TestRunBootstrap:
     def test_single_replicate_equals_draw_replicate(self):
+        # Replicate 0 is one binomial draw per cell, in row-major order, from
+        # the substream keyed on (seed, BOOTSTRAP, 0).
         table = sim_study_table()
         store = run_bootstrap(table, B=1, seed=9)
-        assert np.array_equal(store.replicates[0], draw_replicate(table, 0, seed=9))
+        gen = rng_mod.substream(9, rng_mod.BOOTSTRAP, 0)
+        sizes = table.sizes[None, :]
+        expected = gen.binomial(sizes, table.counts / sizes) / sizes
+        assert np.array_equal(store.replicates[0], expected)
 
     def test_same_seed_rerun_is_identical(self):
         table = sim_study_table()
@@ -106,10 +112,11 @@ class TestRunBootstrap:
         observed = table.counts / table.sizes[None, :]
         assert np.all(np.abs(store.replicates.mean(axis=0) - observed) < 0.003)
 
-    def test_capacity_error_reports_sizes(self):
+    def test_capacity_error_reports_sizes(self, monkeypatch):
+        monkeypatch.setattr(bootstrap, "_available_bytes", lambda: 1024)
         table = sim_study_table()
         with pytest.raises(CapacityError) as err:
-            run_bootstrap(table, B=10_000, seed=0, max_bytes=1024)
+            run_bootstrap(table, B=10_000, seed=0)
         assert err.value.requested_bytes == 10_000 * 2 * 3 * 8
         assert err.value.available_bytes == 1024
 
@@ -169,24 +176,6 @@ class TestRunBootstrap:
             ReplicateStore(
                 replicates=np.full((1, 1, 1), 1.5), seed=0, source=sim_study_table()
             )
-
-    def test_csv_dump_roundtrips_values(self, tmp_path):
-        table = sim_study_table()
-        store = run_bootstrap(table, B=3, seed=4)
-        plain = tmp_path / "reps.csv"
-        store.to_csv(plain)
-        lines = plain.read_text().splitlines()
-        assert lines[0] == "replicate,model,task,accuracy"
-        assert len(lines) == 1 + 3 * 2 * 3
-        r, model, task, acc = lines[1].split(",")
-        i = table.models.index(model)
-        j = [t.task_id for t in table.tasks].index(task)
-        assert float(acc) == store.replicates[int(r), i, j]
-
-        zipped = tmp_path / "reps.csv.gz"
-        store.to_csv(zipped)
-        with gzip.open(zipped, "rt") as fh:
-            assert fh.read() == plain.read_text()
 
 
 class TestPercentileInterval:

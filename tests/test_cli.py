@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import benchuq
+from benchuq.bhm import DEFAULT_PRIOR_RATE, McmcConfig
 from benchuq.errors import ConvergenceWarning
 from benchuq.cli import (
     EXIT_COMPUTE,
@@ -102,6 +103,16 @@ def test_parser_covers_documented_commands():
     _, subs = build_parser()
     assert set(subs) == {"ingest", "bootstrap", "bhm", "ranks", "simplex",
                          "report", "simstudy"}
+
+
+def test_mcmc_flag_defaults_are_the_library_defaults():
+    _, subs = build_parser()
+    args = subs["bhm"].parse_args([])
+    assert McmcConfig(
+        total_iterations=args.iterations, burn_in=args.burn_in,
+        thinning=args.thinning, chains=args.chains,
+    ) == McmcConfig()
+    assert args.prior_rate == DEFAULT_PRIOR_RATE
 
 
 # ------------------------------------------------------------------- config
@@ -395,6 +406,25 @@ def test_report_without_bhm(tmp_path, capsys):
     first_row_model = (out / "leaderboard.md").read_text().splitlines()[2]
     leader = max(board, key=lambda m: board[m]["point"])
     assert first_row_model.startswith(f"| {leader} |")
+
+
+@pytest.mark.parametrize("bhm", [False, True])
+def test_report_on_one_model_has_no_pairwise(tmp_path, capsys, bhm):
+    tasks = tmp_path / "tasks.csv"
+    tasks.write_text("task,category,test_size\nt1,a,100\nt2,b,200\nt3,c,300\n")
+    evals = tmp_path / "counts.csv"
+    evals.write_text("model,task,correct\nsolo,t1,50\nsolo,t2,150\nsolo,t3,90\n")
+    out = tmp_path / "out"
+    argv = ["report", *FAST_BOOT, "--eval", str(evals), "--tasks", str(tasks),
+            "--out-dir", str(out)]
+    argv += FAST_MCMC if bhm else ["--no-bhm"]
+    assert run(argv) == EXIT_OK
+    capsys.readouterr()
+    assert not any(p.name.startswith("pairwise.") for p in out.iterdir())
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["pairwise"] == {}
+    assert list(payload["leaderboard"]["Avg Acc (bootstrap)"]) == ["solo"]
+    assert ("bhm_diagnostics" in payload) == bhm
 
 
 def test_bhm_subcommand_outputs(tmp_path, capsys):

@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +12,6 @@ from benchuq.core import (
     load_task_file,
     synthesize_counts,
     validate_consistency,
-    write_long_csv,
 )
 from benchuq.errors import ValidationError
 
@@ -324,24 +321,3 @@ class TestConsistency:
         table = self.category_mean_table()
         with pytest.raises(ValidationError, match="ghost"):
             validate_consistency(table, {"ghost": {"overall": 50.0}}, tolerance=0.1)
-
-
-class TestWriteLongCsv:
-    def test_plain_labels_are_written_bare(self, tmp_path):
-        path = tmp_path / "plain.csv"
-        write_long_csv(path, ("model", "task", "acc"), (("A", "B"), ("t1",)),
-                       (np.array([[0.5], [0.25]]),))
-        assert path.read_text() == "model,task,acc\nA,t1,0.5\nB,t1,0.25\n"
-
-    def test_labels_with_delimiters_round_trip(self, tmp_path):
-        models = ("a,b", 'say "hi"', "plain")
-        tasks = ("t1", "two\nlines")
-        values = np.arange(6, dtype=float).reshape(3, 2) / 7.0
-        path = tmp_path / "quoted.csv"
-        write_long_csv(path, ("model", "task", "acc"), (models, tasks), (values,))
-        with path.open(newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["model", "task", "acc"]
-        assert [len(row) for row in rows[1:]] == [3] * 6
-        assert [(m, t) for m, t, _ in rows[1:]] == [(m, t) for m in models for t in tasks]
-        assert [float(v) for _, _, v in rows[1:]] == values.ravel().tolist()

@@ -100,21 +100,22 @@ def test_average_rank_per_task_rank_sum_preserved():
 def test_binned_groups_near_ties():
     # 67.2% and 67.9% share the floor bucket 67 -> both rank (1+2)/2 = 1.5.
     acc = np.array([[0.672], [0.679], [0.5]])
-    ranks = points(acc, RankScheme.AVERAGE_RANK_BINNED, bin_width=1.0)
+    ranks = points(acc, RankScheme.AVERAGE_RANK_BINNED)
     assert ranks == [1.5, 1.5, 3.0]
 
 
 def test_binned_anchored_at_integer_multiples():
     # 66.9% vs 67.05%: distinct floor buckets even though only 0.15pp apart.
     acc = np.array([[0.669], [0.6705]])
-    ranks = points(acc, RankScheme.AVERAGE_RANK_BINNED, bin_width=1.0)
+    ranks = points(acc, RankScheme.AVERAGE_RANK_BINNED)
     assert ranks == [2.0, 1.0]
 
 
-def test_noise_sd_zero_equals_plain_exactly():
+def test_noise_sd_zero_equals_plain_exactly(monkeypatch):
+    monkeypatch.setattr(ranking_mod, "_NOISE_SD", 0.0)
     acc = np.random.default_rng(0).uniform(0.2, 0.9, size=(5, 7))
     samples = np.stack([acc] * 4)
-    noisy = rank_intervals(samples, RankScheme.AVERAGE_RANK_NOISE, noise_sd=0.0, seed=3)
+    noisy = rank_intervals(samples, RankScheme.AVERAGE_RANK_NOISE, seed=3)
     plain = rank_intervals(samples, RankScheme.AVERAGE_RANK)
     assert [s.interval for s in noisy] == [s.interval for s in plain]
 
@@ -128,14 +129,6 @@ def test_noise_can_split_exact_ties():
     # sample's mean rank is a multiple of 1/3 and never the tied 1.5.
     assert all(s.interval.lower < s.interval.upper for s in noisy)
     assert sum(s.point for s in noisy) == pytest.approx(3.0)  # rank sum 1+2
-
-
-def test_average_rank_validation():
-    samples = np.stack([np.array([[0.5], [0.6]])] * 2)
-    with pytest.raises(ValidationError, match="bin width"):
-        rank_intervals(samples, RankScheme.AVERAGE_RANK_BINNED, bin_width=0.0)
-    with pytest.raises(ValidationError, match="noise sd"):
-        rank_intervals(samples, RankScheme.AVERAGE_RANK_NOISE, noise_sd=-1.0)
 
 
 @given(
@@ -168,7 +161,9 @@ def test_rank_mean_invariant(acc):
 def test_binned_converges_to_plain_for_tiny_bins(acc):
     # With all-distinct accuracies a fine enough bin separates every pair.
     plain = points(acc, RankScheme.AVERAGE_RANK)
-    binned = points(acc, RankScheme.AVERAGE_RANK_BINNED, bin_width=1e-7)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ranking_mod, "_BIN_WIDTH", 1e-7)
+        binned = points(acc, RankScheme.AVERAGE_RANK_BINNED)
     assert plain == binned
 # ------------------------------------------------------------ rank intervals
 

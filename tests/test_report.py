@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from benchuq.bootstrap import IntervalEstimate
+from benchuq.core import EvalTable, TaskSpec
 from benchuq.report import (
     REPORT_FORMATS,
     csv_table,
@@ -14,8 +16,10 @@ from benchuq.report import (
     interval_table,
     json_document,
     markdown_table,
+    simplex_csv,
     write_text,
 )
+from benchuq.weighting import simplex_scan
 
 
 def est(point, lower, upper, level=0.834):
@@ -100,3 +104,20 @@ def test_write_text_creates_parents_and_lf(tmp_path):
     write_text(target, "line1\nline2\n")
     raw = target.read_bytes()
     assert raw == b"line1\nline2\n"
+
+
+def test_simplex_csv_shape(tmp_path):
+    # One specialist per category; a 0.5 grid step has 6 cells.
+    categories = ("natural", "specialized", "structured")
+    tasks = tuple(TaskSpec(f"t{j}", c, 1000) for j, c in enumerate(categories))
+    table = EvalTable(models=("nat-pro", "spec-pro", "str-pro"), tasks=tasks,
+                      counts=900 * np.eye(3, dtype=int) + 100 * (1 - np.eye(3, dtype=int)))
+    field = simplex_scan(table, categories, grid_step=0.5)
+    text = simplex_csv(field)
+    lines = text.strip().split("\n")
+    assert lines[0] == "w_nat,w_sp,w_str,winner,margin_se"
+    assert len(lines) == 1 + 6
+    assert lines[1] == "0,0,1,str-pro,59.6285"  # weights and margin at 6 digits
+    assert lines[2] == "0,0.5,0.5,INDETERMINATE,0"
+    write_text(tmp_path / "field.csv", text)
+    assert (tmp_path / "field.csv").read_text() == text

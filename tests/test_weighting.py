@@ -308,14 +308,6 @@ class TestSimplexScan:
         with pytest.raises(ValidationError, match="divide"):
             simplex_scan(gapped_table(), self.CATS, grid_step=0.03)
 
-    def test_csv_export_shape(self, tmp_path):
-        field = simplex_scan(gapped_table(), self.CATS, grid_step=0.5)
-        text = field.to_csv(tmp_path / "field.csv")
-        lines = text.strip().split("\n")
-        assert lines[0] == "w_nat,w_sp,w_str,winner,margin_se"
-        assert len(lines) == 1 + 6
-        assert (tmp_path / "field.csv").read_text() == text
-
     def test_winners_listing(self):
         field = simplex_scan(gapped_table(), self.CATS, grid_step=0.5)
         assert set(field.winners()) <= {"nat-pro", "spec-pro", "str-pro"}
