@@ -31,7 +31,6 @@ from typing import Callable, Mapping
 from warnings import warn
 
 import numpy as np
-from scipy.special import betaln
 
 from . import rng as _rng
 from .bootstrap import IntervalEstimate, percentile_interval
@@ -226,14 +225,16 @@ def _log_prior(x, log_rate, rate, mu, inv_sigma):
     return log_rate - rate * x - 0.5 * ((x - mu) * inv_sigma) ** 2
 
 
-def _log_conditional(x, other, log_sum, n_tasks, prior):
+def _log_conditional(x, other, log_sum, n_tasks, prior, betaln):
     """Log full conditional of a hyperparameter x > 0, up to a constant; broadcasts.
 
     log prior(x) + (x - 1) log_sum - n_tasks log B(x, other), where
     ``prior`` holds the four :meth:`PriorSpec.coefficients` (scalars or
     arrays) and ``log_sum`` is sum_j log theta_j for alpha and
     sum_j log(1 - theta_j) for beta.  log B is symmetric, so one expression
-    serves both.
+    serves both.  ``betaln`` is ``scipy.special.betaln``, which callers
+    import when they first need it: importing scipy.special doubles the
+    start-up of every command, and only the BHM uses it.
     """
     return _log_prior(x, *prior) + (x - 1.0) * log_sum - n_tasks * betaln(x, other)
 
@@ -247,18 +248,22 @@ def log_conditional_alpha(alpha: float, beta: float, thetas, prior: PriorSpec) -
     """
     if alpha <= 0:
         return -math.inf
+    from scipy.special import betaln
+
     thetas = np.asarray(thetas, dtype=float)
     return float(_log_conditional(alpha, beta, np.log(thetas).sum(), thetas.size,
-                                  prior.coefficients()))
+                                  prior.coefficients(), betaln))
 
 
 def log_conditional_beta(alpha: float, beta: float, thetas, prior: PriorSpec) -> float:
     """Symmetric counterpart of log_conditional_alpha, driven by log(1 - theta)."""
     if beta <= 0:
         return -math.inf
+    from scipy.special import betaln
+
     thetas = np.asarray(thetas, dtype=float)
     return float(_log_conditional(beta, alpha, np.log1p(-thetas).sum(), thetas.size,
-                                  prior.coefficients()))
+                                  prior.coefficients(), betaln))
 
 
 def slice_sample_step(
@@ -335,9 +340,10 @@ def _normalize_priors(priors, models) -> dict[str, tuple[PriorSpec, PriorSpec]]:
 
 def _log_scale_density(other, log_sum, n_tasks, prior):
     """The conditional of y = log x, Jacobian term included, as a function of y."""
+    from scipy.special import betaln
 
     def logdensity(y):
-        return _log_conditional(np.exp(y), other, log_sum, n_tasks, prior) + y
+        return _log_conditional(np.exp(y), other, log_sum, n_tasks, prior, betaln) + y
 
     return logdensity
 

@@ -84,7 +84,7 @@ class ReplicateStore:
             raise ValidationError(
                 f"replicates must be a nonempty 3-D array, got shape {reps.shape}"
             )
-        if np.any((reps < 0.0) | (reps > 1.0)):
+        if reps.size and (reps.min() < 0.0 or reps.max() > 1.0):
             raise ValidationError("replicate accuracies must lie in [0, 1]")
         reps.setflags(write=False)
         object.__setattr__(self, "replicates", reps)
@@ -182,22 +182,27 @@ def run_bootstrap(
     return ReplicateStore(replicates=out, seed=seed, source=table)
 
 
-def percentile_interval(samples, level: float) -> tuple[float, float]:
-    """Equal-tailed interval from sample quantiles.
+def percentile_interval(samples, level: float):
+    """Equal-tailed interval from sample quantiles along the last axis.
 
     Quantiles use inclusive linear interpolation (numpy's ``linear`` method)
-    at probabilities (1 - level)/2 and 1 - (1 - level)/2.
+    at probabilities (1 - level)/2 and 1 - (1 - level)/2.  One-dimensional
+    samples give a pair of floats; a leading shape gives a pair of arrays of
+    that shape, one interval per row.
     """
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 1 or samples.size < 2:
+    n = samples.shape[-1] if samples.ndim else 0
+    if n < 2:
         raise ValidationError(
-            f"need at least 2 samples for a percentile interval, got {samples.size}"
+            f"need at least 2 samples for a percentile interval, got {n}"
         )
     if not 0.0 < level < 1.0:
         raise ValidationError(f"level must lie in (0, 1), got {level}")
     tail = (1.0 - level) / 2.0
-    lower, upper = np.quantile(samples, [tail, 1.0 - tail], method="linear")
-    return float(lower), float(upper)
+    lower, upper = np.quantile(samples, [tail, 1.0 - tail], axis=-1, method="linear")
+    if samples.ndim == 1:
+        return float(lower), float(upper)
+    return lower, upper
 
 
 def _replicate_statistics(

@@ -14,6 +14,7 @@ warnings.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 import warnings
@@ -39,7 +40,9 @@ from .bootstrap import (
 from .core import EvalTable, TaskSpec, load_eval_table, validate_consistency
 from .errors import BenchuqError, ConvergenceWarning, ValidationError
 from .fixtures import load_vtab, published_means_from_csv, vtab_published_means
-from .normalize import estimate_bounds, normalize_scores
+# normalize_scores is not called here; it stays a name on this module because
+# perfbench/trace_cli.py wraps it beside the other layer entry points.
+from .normalize import estimate_bounds, normalize_scores  # noqa: F401
 from .ranking import RankScheme, rank_intervals
 from .viz import render_ternary
 from .weighting import INDETERMINATE, simplex_scan
@@ -356,13 +359,13 @@ def _rank_sections(store, bounds, schemes, level, normalized):
     for scheme in schemes:
         sections["raw"][scheme.value] = rank_intervals(store, scheme, level=level)
     if normalized:
-        table = store.source
-        samples = normalize_scores(store.replicates, bounds)
+        # The replicate array (a view) rather than the store, so that a
+        # tracer can tell these calls from the raw ones by their argument.
         sections["normalized"] = {}
         for scheme in schemes:
             sections["normalized"][scheme.value] = rank_intervals(
-                samples, scheme, level=level, models=table.models,
-                seed=store.seed, method="bootstrap-percentile",
+                store.replicates, scheme, level=level, models=store.source.models,
+                seed=store.seed, method="bootstrap-percentile", normalizer=bounds,
             )
     return sections
 
@@ -520,8 +523,9 @@ def cmd_simplex(args) -> int:
     categories = table.categories
     variants = [("simplex", None)]
     if args.normalized:
-        store = run_bootstrap(table, B=args.replicates, seed=args.seed)
-        variants.append(("simplex_normalized", estimate_bounds(store)))
+        # Only the bounds are kept: the store is freed before the scans.
+        variants.append(("simplex_normalized", estimate_bounds(
+            run_bootstrap(table, B=args.replicates, seed=args.seed))))
     written = []
     fields = []
     for stem, bounds in variants:
@@ -698,7 +702,34 @@ def cmd_simstudy(args) -> int:
 # ------------------------------------------------------------------- driver
 
 
+# mallopt parameter numbers from glibc's <malloc.h>.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _reuse_freed_heap() -> None:
+    """Let glibc's malloc hand the rank blocks' freed pages to the next block.
+
+    The rank pass frees about a dozen arrays of up to 0.5 MiB per block.
+    Under glibc's default 128 KiB thresholds each is a fresh mmap, or heap
+    trimmed and grown again, so every block pays page faults: the ten rank
+    tables of a 64 x 57 table at B = 1,000 took twice as long on a 2-core
+    Linux machine.  Where the C library has no mallopt this does nothing.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except AttributeError:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 1 << 20)  # arrays up to 1 MiB come from the heap
+    mallopt(_M_TRIM_THRESHOLD, 8 << 20)  # and up to 8 MiB of it stays mapped
+
+
 def main(argv=None) -> int:
+    _reuse_freed_heap()
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subs = build_parser()
     try:
@@ -714,7 +745,15 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             if getattr(args, "strict", False):
                 warnings.simplefilter("error", ConvergenceWarning)
-            return args.func(args)
+            # A warning names the input's problem; the benchuq source line
+            # that raised it means nothing to a CLI user.
+            formatwarning = warnings.formatwarning
+            warnings.formatwarning = (
+                lambda message, *_: f"{parser.prog}: warning: {message}\n")
+            try:
+                return args.func(args)
+            finally:
+                warnings.formatwarning = formatwarning
     except _UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -31,6 +31,7 @@ import numpy as np
 from . import rng as _rng
 from .bootstrap import DISPLAY_LEVEL, IntervalEstimate, ReplicateStore, percentile_interval
 from .errors import ValidationError
+from .normalize import NormalizationBounds, normalize_scores
 
 __all__ = [
     "RankScheme",
@@ -129,15 +130,20 @@ def rank_intervals(
     seed: int | None = None,
     models=None,
     method: str | None = None,
+    normalizer: NormalizationBounds | None = None,
 ) -> list[RankSummary]:
     """Apply a rank scheme to every sample and summarize per model.
 
     ``samples`` is a bootstrap ReplicateStore or a samples x models x tasks
-    array (e.g. posterior-predictive accuracies — tagged accordingly).  The
-    noise variant adds normal noise of sd 1 percentage point, drawn fresh
-    per sample from the RANK_NOISE substream of ``seed`` (default: the
-    store's seed, else 0) keyed by sample index, so results do not depend on
-    evaluation order.  The binned variant uses bins 1 percentage point wide.
+    array (e.g. posterior-predictive accuracies — tagged accordingly).  With
+    ``normalizer``, each block of samples goes through
+    :func:`~benchuq.normalize.normalize_scores` against those fixed bounds
+    just before it is ranked, so the ranks equal those of the normalized
+    samples without a normalized copy of them.  The noise variant adds
+    normal noise of sd 1 percentage point, drawn fresh per sample from the
+    RANK_NOISE substream of ``seed`` (default: the store's seed, else 0)
+    keyed by sample index, so results do not depend on evaluation order.
+    The binned variant uses bins 1 percentage point wide.
     """
     scheme = RankScheme(scheme)
     if isinstance(samples, ReplicateStore):
@@ -165,10 +171,14 @@ def rank_intervals(
         raise ValidationError(f"{len(models)} names for {n_models} models")
 
     step = max(1, _BLOCK_CELLS // max(1, n_models * n_tasks))
-    ranks = np.empty((n_samples, n_models))
+    # Models x samples, so one quantile call along the last axis gives every
+    # model's interval.
+    ranks = np.empty((n_models, n_samples))
     n_zero = 0
     for lo in range(0, n_samples, step):
         block = values[lo : lo + step]
+        if normalizer is not None:
+            block = normalize_scores(block, normalizer)
         noise = None
         if scheme == RankScheme.AVERAGE_RANK_NOISE:
             noise = np.stack([
@@ -177,7 +187,8 @@ def rank_intervals(
                 )
                 for s in range(lo, lo + len(block))
             ])
-        ranks[lo : lo + len(block)], zeros = _block_ranks(block, scheme, noise)
+        block_ranks, zeros = _block_ranks(block, scheme, noise)
+        ranks[:, lo : lo + len(block)] = block_ranks.T
         n_zero += zeros
     if n_zero:
         warnings.warn(
@@ -186,13 +197,13 @@ def rank_intervals(
             stacklevel=2,
         )
 
+    lower, upper = percentile_interval(ranks, level)
     out = []
     for i, model in enumerate(models):
-        lower, upper = percentile_interval(ranks[:, i], level)
         interval = IntervalEstimate(
-            point=float(ranks[:, i].mean()),
-            lower=lower,
-            upper=upper,
+            point=float(ranks[i].mean()),
+            lower=float(lower[i]),
+            upper=float(upper[i]),
             level=level,
             method=method,
         )

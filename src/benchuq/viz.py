@@ -19,8 +19,8 @@ legend lists every color used.
 from __future__ import annotations
 
 import math
+from html import escape
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 from .errors import ValidationError
 from .weighting import INDETERMINATE, SimplexField
@@ -77,7 +77,7 @@ def _document(width: float, height: float, body: list[str]) -> str:
 def _text(x, y, s, size=12, anchor="start", color="#111111"):
     return (
         f'<text x="{_fmt(x)}" y="{_fmt(y)}" {_FONT} font-size="{size}" '
-        f'text-anchor="{anchor}" fill="{color}">{escape(s)}</text>'
+        f'text-anchor="{anchor}" fill="{color}">{escape(s, quote=False)}</text>'
     )
 
 

@@ -12,13 +12,18 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
 
 import benchuq
+import benchuq.cli as cli
 from benchuq.bhm import DEFAULT_PRIOR_RATE, McmcConfig
+from benchuq.bootstrap import run_bootstrap
 from benchuq.errors import ConvergenceWarning
+from benchuq.normalize import estimate_bounds
 from benchuq.cli import (
     EXIT_COMPUTE,
     EXIT_DATA,
@@ -408,12 +413,17 @@ def test_report_without_bhm(tmp_path, capsys):
     assert first_row_model.startswith(f"| {leader} |")
 
 
-@pytest.mark.parametrize("bhm", [False, True])
-def test_report_on_one_model_has_no_pairwise(tmp_path, capsys, bhm):
+def write_one_model_csv(tmp_path):
     tasks = tmp_path / "tasks.csv"
     tasks.write_text("task,category,test_size\nt1,a,100\nt2,b,200\nt3,c,300\n")
     evals = tmp_path / "counts.csv"
     evals.write_text("model,task,correct\nsolo,t1,50\nsolo,t2,150\nsolo,t3,90\n")
+    return evals, tasks
+
+
+@pytest.mark.parametrize("bhm", [False, True])
+def test_report_on_one_model_has_no_pairwise(tmp_path, capsys, bhm):
+    evals, tasks = write_one_model_csv(tmp_path)
     out = tmp_path / "out"
     argv = ["report", *FAST_BOOT, "--eval", str(evals), "--tasks", str(tasks),
             "--out-dir", str(out)]
@@ -507,14 +517,95 @@ def test_report_outputs_are_byte_identical_across_reruns_and_workers(tmp_path):
 # ------------------------------------------------------- import and docs
 
 
+def source_env():
+    """The environment of a fresh process that imports this benchuq."""
+    src = str(Path(benchuq.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": src}
+
+
 def test_importing_the_cli_loads_no_scipy_stats():
     # scipy.stats costs most of a second at start-up, which every command
     # would pay; the rank code uses its own average-rank helper instead.
-    src = str(Path(benchuq.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
     code = "import benchuq.cli, sys; sys.exit('scipy.stats' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    result = subprocess.run([sys.executable, "-c", code], env=source_env(), timeout=120)
     assert result.returncode == 0
+
+
+def test_importing_the_cli_loads_no_scipy_until_a_bhm_fit():
+    # scipy.special costs about a quarter second and 19 MiB at start-up;
+    # only the BHM uses it (for betaln), so it loads when a fit needs it.
+    code = (
+        "import sys, warnings, benchuq, benchuq.cli\n"
+        "loaded = [m for m in sys.modules if m.partition('.')[0] == 'scipy']\n"
+        "assert not loaded, loaded\n"
+        "from benchuq.bhm import McmcConfig, fit_bhm\n"
+        "warnings.simplefilter('ignore')\n"
+        "config = McmcConfig(total_iterations=60, burn_in=20, thinning=1, chains=2)\n"
+        "draws = fit_bhm(benchuq.cli.simulation_study_table(), config=config)\n"
+        "assert draws.n_draws == 80, draws.n_draws\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=source_env(),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
+def test_cli_warnings_name_the_input_not_the_source(tmp_path):
+    # With one model, each task's lowest bootstrap accuracy is that model's,
+    # so normalized replicates hold zeros and the geometric mean warns.
+    evals, tasks = write_one_model_csv(tmp_path)
+    argv = ["report", "--no-bhm", *FAST_BOOT, "--eval", str(evals),
+            "--tasks", str(tasks), "--out-dir", str(tmp_path / "out")]
+    result = subprocess.run([sys.executable, "-m", "benchuq.cli", *argv],
+                            env=source_env(), capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == EXIT_OK, result.stderr
+    assert re.search(r"^benchuq: warning: \d+ \(sample, model\) pair\(s\) have "
+                     r"a zero accuracy", result.stderr, re.M)
+    assert ".py:" not in result.stderr
+
+
+# Stores of the bundled fixture (16 models x 19 tasks) at this B are 14 MiB,
+# far above the block-sized temporaries of the rank and simplex passes.
+TRACED_B = 6000
+
+
+def test_normalized_rank_tables_hold_no_copy_of_the_store():
+    store = run_bootstrap(benchuq.load_vtab(), B=TRACED_B, seed=0)
+    bounds = estimate_bounds(store)
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            sections = cli._rank_sections(store, bounds, cli.ALL_SCHEMES,
+                                          cli.RANK_LEVEL, True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sections["normalized"]) == len(cli.ALL_SCHEMES)
+    assert peak < store.replicates.nbytes
+
+
+def test_simplex_frees_the_store_before_its_scans(tmp_path, monkeypatch):
+    scan = cli.simplex_scan
+    held = []
+
+    def traced_scan(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simplex_scan", traced_scan)
+    argv = ["simplex", "--normalized", "--replicates", str(TRACED_B),
+            "--grid-step", "0.1", "--formats", "json", "--out-dir", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        assert run(argv) == EXIT_OK
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    store_bytes = TRACED_B * 16 * 19 * 8
+    assert len(held) == 4
+    assert max(held) < store_bytes
+    assert peak < 2 * store_bytes
 
 
 def test_traced_layers_are_cli_attributes():

@@ -310,11 +310,11 @@ def _reference_rows(ranks):
 
 def test_rank_intervals_equal_per_sample_reference_across_blocks():
     # 40 models x 30 tasks: the block holds fewer samples than the store, and
-    # the sample count is not a multiple of it, so a full block and a partial
-    # one are both ranked.  Counts of 0-4 out of 4 give ties and zeros.
+    # the sample count is not a multiple of it, so full blocks and a partial
+    # one are all ranked.  Counts of 0-4 out of 4 give ties and zeros.
     n_models, n_tasks = 40, 30
     step = max(1, ranking_mod._BLOCK_CELLS // (n_models * n_tasks))
-    n_samples = step + step // 3 + 1
+    n_samples = 2 * step + step // 3 + 1
     assert n_samples % step != 0
     gen = np.random.default_rng(8)
     tasks = tuple(TaskSpec(f"t{j}", "c", 4) for j in range(n_tasks))
@@ -324,16 +324,21 @@ def test_rank_intervals_equal_per_sample_reference_across_blocks():
         counts=gen.integers(0, 5, size=(n_models, n_tasks)),
     )
     store = run_bootstrap(table, B=n_samples, seed=3)
-    normalized = normalize_scores(store.replicates, estimate_bounds(store))
+    bounds = estimate_bounds(store)
+    normalized = normalize_scores(store.replicates, bounds)
     for scheme in RankScheme:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             raw = rank_intervals(store, scheme)
             norm = rank_intervals(normalized, scheme, seed=store.seed)
+            # Normalizing block by block ranks the same values bit for bit.
+            fused = rank_intervals(store.replicates, scheme, seed=store.seed,
+                                   normalizer=bounds)
         expected_raw = _reference_rows(_reference_ranks(store.replicates, scheme, 3))
         expected_norm = _reference_rows(_reference_ranks(normalized, scheme, 3))
         assert _summary_rows(raw) == expected_raw, scheme
         assert _summary_rows(norm) == expected_norm, scheme
+        assert fused == norm, scheme
 
 
 def test_rank_intervals_geometric_mean_zero_cells_warn_once():

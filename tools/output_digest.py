@@ -12,7 +12,9 @@ The wide table comes from ``perfbench/gen.py --seed 1`` next to this script.
 The script prints one ``sha256  command/relative/path`` line per output file,
 sorted, and then the sha256 of that listing.  Two checkouts whose listings
 hash the same wrote byte-identical output trees.  It exits 1 if any command
-exits nonzero.
+exits nonzero.  Each command's peak resident set size (``ru_maxrss`` from
+``os.wait4``, read as KiB as Linux reports it) and wall time go to standard
+error, so standard output stays the listing alone.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,15 +74,21 @@ def main(argv=None) -> int:
         out_root = tmp / "out"
         for name, command in COMMANDS:
             argv_ = command.replace(WIDE, str(wide)).split()
-            proc = subprocess.run(
+            start = time.perf_counter()
+            with subprocess.Popen(
                 [sys.executable, "-m", "benchuq.cli", *argv_, "--seed", "0",
                  "--out-dir", str(out_root / name)],
                 env=env, cwd=tmp, stdout=subprocess.DEVNULL,
                 stderr=subprocess.PIPE, text=True,
-            )
+            ) as proc:
+                stderr = proc.stderr.read()
+                _, status, usage = os.wait4(proc.pid, 0)
+                proc.returncode = os.waitstatus_to_exitcode(status)
+            print(f"{name}: peak RSS {usage.ru_maxrss / 1024:.1f} MiB, "
+                  f"wall {time.perf_counter() - start:.2f} s", file=sys.stderr)
             if proc.returncode != 0:
                 failed.append(name)
-                print(f"{name}: exit {proc.returncode}\n{proc.stderr}", file=sys.stderr)
+                print(f"{name}: exit {proc.returncode}\n{stderr}", file=sys.stderr)
         text = listing(out_root)
     sys.stdout.write(text)
     print(f"{text.count(chr(10))} files, listing sha256 "
