@@ -14,7 +14,9 @@ independent across models (and the beta_i given theta and alpha), and
 chains are independent, so each block of side-by-side slice steps is one
 valid Gibbs step: every coordinate follows exactly the transition of
 :func:`slice_sample_step`, with masks marking the coordinates still
-stepping out or still shrinking.
+stepping out or still shrinking.  Shrinkage evaluates a step's predrawn
+proposals speculatively, in one call; the per-model ``evals_per_step``
+still counts what :func:`slice_sample_step` would evaluate.
 
 Slice steps run on the log-transformed hyperparameter with the +log(x)
 Jacobian term, because alpha and beta range over orders of magnitude and a
@@ -72,9 +74,10 @@ _SLICE_WIDTH = 1.0
 _SLICE_MAX_STEPOUT = 50
 
 # Shrinkage proposals each chain draws up front, per coordinate, in its one
-# block of uniforms per slice update; a coordinate still pending after that
-# many rejections draws one more uniform per round.  A step takes ~3 on the
-# fixture and ~8 under the simulation study's tight priors.
+# block of uniforms per slice update, all evaluated in one call; a coordinate
+# that rejects them all draws one more uniform per round.  A step takes ~3
+# on the fixture and ~8 under the simulation study's tight priors, where
+# half of the updates run a few more rounds.
 _SHRINK_PREDRAWN = 12
 
 # Stepping-out direction of the left and right slice ends.
@@ -225,18 +228,18 @@ def _log_prior(x, log_rate, rate, mu, inv_sigma):
     return log_rate - rate * x - 0.5 * ((x - mu) * inv_sigma) ** 2
 
 
-def _log_conditional(x, other, log_sum, n_tasks, prior, betaln):
+def _log_conditional(x, other, log_sum, n_tasks, log_prior, betaln):
     """Log full conditional of a hyperparameter x > 0, up to a constant; broadcasts.
 
-    log prior(x) + (x - 1) log_sum - n_tasks log B(x, other), where
-    ``prior`` holds the four :meth:`PriorSpec.coefficients` (scalars or
-    arrays) and ``log_sum`` is sum_j log theta_j for alpha and
-    sum_j log(1 - theta_j) for beta.  log B is symmetric, so one expression
-    serves both.  ``betaln`` is ``scipy.special.betaln``, which callers
-    import when they first need it: importing scipy.special doubles the
-    start-up of every command, and only the BHM uses it.
+    log_prior(x) + (x - 1) log_sum - n_tasks log B(x, other), where
+    ``log_prior`` is the log prior density as a function of x and
+    ``log_sum`` is sum_j log theta_j for alpha and sum_j log(1 - theta_j)
+    for beta.  log B is symmetric, so one expression serves both.
+    ``betaln`` is ``scipy.special.betaln``, which callers import when they
+    first need it: importing scipy.special doubles the start-up of every
+    command, and only the BHM uses it.
     """
-    return _log_prior(x, *prior) + (x - 1.0) * log_sum - n_tasks * betaln(x, other)
+    return log_prior(x) + (x - 1.0) * log_sum - n_tasks * betaln(x, other)
 
 
 def log_conditional_alpha(alpha: float, beta: float, thetas, prior: PriorSpec) -> float:
@@ -252,7 +255,7 @@ def log_conditional_alpha(alpha: float, beta: float, thetas, prior: PriorSpec) -
 
     thetas = np.asarray(thetas, dtype=float)
     return float(_log_conditional(alpha, beta, np.log(thetas).sum(), thetas.size,
-                                  prior.coefficients(), betaln))
+                                  prior.log_density, betaln))
 
 
 def log_conditional_beta(alpha: float, beta: float, thetas, prior: PriorSpec) -> float:
@@ -263,7 +266,7 @@ def log_conditional_beta(alpha: float, beta: float, thetas, prior: PriorSpec) ->
 
     thetas = np.asarray(thetas, dtype=float)
     return float(_log_conditional(beta, alpha, np.log1p(-thetas).sum(), thetas.size,
-                                  prior.coefficients(), betaln))
+                                  prior.log_density, betaln))
 
 
 def slice_sample_step(
@@ -339,28 +342,51 @@ def _normalize_priors(priors, models) -> dict[str, tuple[PriorSpec, PriorSpec]]:
 
 
 def _log_scale_density(other, log_sum, n_tasks, prior):
-    """The conditional of y = log x, Jacobian term included, as a function of y."""
+    """The conditional of y = log x, Jacobian term included, as a function of y.
+
+    A prior term whose coefficients are all 0 adds an exact 0 and is left out.
+    """
     from scipy.special import betaln
 
+    log_rate, rate, mu, inv_sigma = prior
+    if not np.any(inv_sigma):
+        def log_prior(x):
+            return log_rate - rate * x
+    elif not np.any(rate):
+        def log_prior(x):
+            return -0.5 * ((x - mu) * inv_sigma) ** 2
+    else:
+        def log_prior(x):
+            return _log_prior(x, *prior)
+
     def logdensity(y):
-        return _log_conditional(np.exp(y), other, log_sum, n_tasks, prior, betaln) + y
+        return _log_conditional(np.exp(y), other, log_sum, n_tasks, log_prior, betaln) + y
 
     return logdensity
 
 
-def _slice_update(logdensity, y0, free, gens, models, param):
+def _slice_buffers(C, M):
+    """Scratch arrays of :func:`_slice_update` on chains x models points."""
+    return (np.empty((C, 3 + _SHRINK_PREDRAWN, M)), np.empty((_SHRINK_PREDRAWN, C, M)),
+            np.zeros((C, M)))
+
+
+def _slice_update(logdensity, y0, free, gens, models, param, buffers=None):
     """One slice step of every free coordinate of ``y0`` (chains x models), in lockstep.
 
     Each coordinate takes exactly the transition of :func:`slice_sample_step`
     at width _SLICE_WIDTH and budget _SLICE_MAX_STEPOUT.  ``logdensity``
     evaluates a whole array of points at once, so both stepping-out ends go
     in one stacked call; masks applied with ``where=`` mark the coordinates
-    still stepping out or still shrinking.  Chain c draws only from
-    ``gens[c]``: one block per update holding each coordinate's level,
-    window offset, budget split and first _SHRINK_PREDRAWN shrinkage
-    proposals, then one uniform per round for each of its own coordinates
-    still pending.  Coordinates where the chains x models mask ``free`` is
-    False keep their value.
+    still stepping out or still shrinking.  A shrinkage rejection moves the
+    bracket by whether the proposal lies below the current point, never by
+    its density, so one stacked call evaluates all _SHRINK_PREDRAWN
+    predrawn proposals and each coordinate takes its first accepted one.
+    Chain c draws only from ``gens[c]``: one block per update holding each
+    coordinate's level, window offset, budget split and predrawn proposals,
+    then one uniform per round for each of its own coordinates still
+    pending.  Coordinates where the chains x models mask ``free`` is False
+    keep their value.  ``buffers`` from :func:`_slice_buffers` may be reused.
 
     Returns the new points, the log-density evaluations that
     :func:`slice_sample_step` would make for the same uniforms, and whether
@@ -368,14 +394,14 @@ def _slice_update(logdensity, y0, free, gens, models, param):
     budget, each per coordinate (zero where not free).
     """
     C, M = y0.shape
-    block = np.empty((C, 3 + _SHRINK_PREDRAWN, M))
+    block, proposals, extra = _slice_buffers(C, M) if buffers is None else buffers
     for c, gen in enumerate(gens):
         gen.random(out=block[c])
     u = block.transpose(1, 0, 2)
     left = y0 - _SLICE_WIDTH * u[1]
     # The current point and both window ends in one call: the ends' values
     # do not depend on the level, which needs the current point's.
-    points = np.stack([y0, left, left + _SLICE_WIDTH])
+    points = np.array([y0, left, left + _SLICE_WIDTH])
     values = logdensity(points)
     logp0, ends = values[0], points[1:]
     bad = free & ~np.isfinite(logp0)
@@ -390,7 +416,7 @@ def _slice_update(logdensity, y0, free, gens, models, param):
     log_u = logp0 + np.log(u[0])
 
     budget_left = np.floor(_SLICE_MAX_STEPOUT * u[2])
-    start = np.stack([budget_left, _SLICE_MAX_STEPOUT - 1 - budget_left])
+    start = np.array([budget_left, _SLICE_MAX_STEPOUT - 1 - budget_left])
     budget = start.copy()
     stepping = free & (budget > 0) & (values[1:] > log_u)
     while np.count_nonzero(stepping):
@@ -404,30 +430,38 @@ def _slice_update(logdensity, y0, free, gens, models, param):
     exhausted = ((start > 0) & (budget == 0)).any(axis=0)
 
     left, right = ends
-    y1 = y0.copy()
-    pending = free.copy()
-    shrink_evals = np.zeros((C, M))
-    extra = np.zeros((C, M))
-    for r in range(_SHRINK_BUDGET):
-        if r < _SHRINK_PREDRAWN:
-            proposal = u[3 + r]
-        else:
-            for c, gen in enumerate(gens):
-                n = np.count_nonzero(pending[c])
-                if n:
-                    extra[c, pending[c]] = gen.random(n)
-            proposal = extra
-        x = left + (right - left) * proposal
+    for r, x in enumerate(proposals):
+        np.subtract(right, left, out=x)
+        np.multiply(x, u[3 + r], out=x)
+        np.add(left, x, out=x)
+        below = x < y0
+        np.copyto(left, x, where=below)
+        np.copyto(right, x, where=~below)
+    accept = logdensity(proposals) >= log_u
+    np.logical_and(accept, free, out=accept)
+    first = accept.argmax(axis=0)
+    done = accept.any(axis=0)
+    y1 = np.where(done, first.choose(proposals), y0)
+    shrink_evals = first + 1.0
+    pending = free & ~done
+    for r in range(_SHRINK_PREDRAWN, _SHRINK_BUDGET):
+        if not np.count_nonzero(pending):
+            break
+        for c, gen in enumerate(gens):
+            n = np.count_nonzero(pending[c])
+            if n:
+                extra[c, pending[c]] = gen.random(n)
+        x = left + (right - left) * extra
         accept = logdensity(x) >= log_u
         np.logical_and(accept, pending, out=accept)
         np.copyto(y1, x, where=accept)
         np.copyto(shrink_evals, r + 1, where=accept)
         np.logical_xor(pending, accept, out=pending)
-        if not np.count_nonzero(pending):
-            return y1, free * (1 + stepout_evals + shrink_evals).astype(np.int64), exhausted
         below = x < y0
         np.copyto(left, x, where=below)
         np.copyto(right, x, where=~below)
+    if not np.count_nonzero(pending):
+        return y1, free * (1 + stepout_evals + shrink_evals).astype(np.int64), exhausted
     c, i = np.argwhere(pending)[0]
     raise SliceSamplerError(
         f"chain {c}, model {models[i]!r}, {param}: no acceptable point after "
@@ -495,21 +529,30 @@ def _run_chains(
     evals = np.zeros((C, n_models), dtype=np.int64)
     exhausted = np.zeros((C, n_models), dtype=np.int64)
     theta = np.empty((C, n_models, n_tasks))
+    # The densities read alpha, beta and the log sums, refilled in place.
+    log_sum_a, log_sum_b = np.empty((C, n_models)), np.empty((C, n_models))
+    density_a = _log_scale_density(beta, log_sum_a, n_tasks, prior_a)
+    density_b = _log_scale_density(alpha, log_sum_b, n_tasks, prior_b)
+    n_minus_y, buffers = np.subtract(N, Y), _slice_buffers(C, n_models)
     kept = 0
     for t in range(1, config.total_iterations + 1):
+        # gibbs_theta_update's draw, with every chain's Beta parameters at once.
+        post_a, post_b = alpha[:, :, None] + Y, beta[:, :, None] + n_minus_y
         for c, gen in enumerate(gens):
-            theta[c] = gibbs_theta_update(Y, N, alpha[c][:, None], beta[c][:, None], gen)
+            theta[c] = gen.beta(post_a[c], post_b[c])
         np.clip(theta, _THETA_EPS, 1.0 - _THETA_EPS, out=theta)
 
         if any_a:
-            density = _log_scale_density(beta, np.log(theta).sum(axis=2), n_tasks, prior_a)
-            log_alpha, n, out = _slice_update(density, log_alpha, free_a, gens, models, "alpha")
+            np.log(theta).sum(axis=2, out=log_sum_a)
+            log_alpha, n, out = _slice_update(density_a, log_alpha, free_a, gens, models,
+                                              "alpha", buffers)
             np.exp(log_alpha, out=alpha, where=free_a)
             evals += n
             exhausted += out
         if any_b:
-            density = _log_scale_density(alpha, np.log1p(-theta).sum(axis=2), n_tasks, prior_b)
-            log_beta, n, out = _slice_update(density, log_beta, free_b, gens, models, "beta")
+            np.log1p(-theta).sum(axis=2, out=log_sum_b)
+            log_beta, n, out = _slice_update(density_b, log_beta, free_b, gens, models,
+                                             "beta", buffers)
             np.exp(log_beta, out=beta, where=free_b)
             evals += n
             exhausted += out

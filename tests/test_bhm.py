@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -266,45 +267,115 @@ class TestLockstepSliceUpdate:
 
         Per step: a block of level, offset, split and the predrawn
         shrinkage proposals, then one fresh uniform per further proposal.
+        ``drawn`` counts the uniforms the current step used.
         """
 
         def __init__(self, gen):
             self.gen = gen
             self.queue = []
+            self.drawn = 0
 
         def new_step(self):
             self.queue = list(self.gen.random(3 + bhm._SHRINK_PREDRAWN))
+            self.drawn = 0
             return self
 
         def uniform(self):
+            self.drawn += 1
             return self.queue.pop(0) if self.queue else self.gen.random()
 
-    def test_one_coordinate_per_chain_matches_scalar_step(self):
-        # With one model, each chain must follow slice_sample_step exactly
-        # when that is fed the same uniforms; the narrow sd forces rounds
-        # past the predrawn shrinkage proposals.
-        sd = 0.004
+    @pytest.mark.parametrize("sd", [0.004, 0.3, 5.0])
+    def test_one_coordinate_per_chain_matches_scalar_step(self, sd):
+        # With one model, each chain must follow slice_sample_step exactly,
+        # evaluation counts included, when that is fed the same uniforms.
+        # The narrow sd forces rounds past the predrawn shrinkage proposals,
+        # 0.3 often accepts the first proposal, and 5.0 steps out several
+        # widths.
         density = lockstep_density([sd])
+        inv_var = 1.0 / np.float64(sd) ** 2
         scalar_evals = {"n": 0}
 
         def scalar_density(x):
             scalar_evals["n"] += 1
-            return -0.5 * x * x / sd**2
+            return -0.5 * x * x * inv_var
 
         C, steps = 3, 300
         gens = [substream(40, c) for c in range(C)]
         refs = [self.BlockStream(substream(40, c)) for c in range(C)]
         evals = 0
+        shrinks, stepouts = [], []
         y = np.zeros((C, 1))
         x = [0.0] * C
         for _ in range(steps):
             y, n, _ = bhm._slice_update(density, y, np.ones((C, 1), bool), gens, ("m",), "alpha")
             evals += n.sum()
-            x = [slice_sample_step(scalar_density, x[c], 1.0, 50, refs[c].new_step())
-                 for c in range(C)]
+            for c in range(C):
+                before = scalar_evals["n"]
+                x[c] = slice_sample_step(scalar_density, x[c], 1.0, 50, refs[c].new_step())
+                assert n[c, 0] == scalar_evals["n"] - before
+                shrinks.append(refs[c].drawn - 3)
+                stepouts.append(n[c, 0] - 1 - shrinks[-1])
             assert y[:, 0].tolist() == x
         assert evals == scalar_evals["n"]
-        assert evals > (3 + bhm._SHRINK_PREDRAWN) * C * steps / 2
+        if sd == 0.004:
+            assert max(shrinks) > bhm._SHRINK_PREDRAWN
+            assert evals > (3 + bhm._SHRINK_PREDRAWN) * C * steps / 2
+        elif sd == 0.3:
+            assert min(shrinks) == 1
+        else:
+            assert max(stepouts) >= 6
+
+    def test_mixed_first_accepted_proposals_match_per_coordinate_replay(self):
+        # One call in which some coordinates accept their first shrinkage
+        # proposal and others a later one, and the widest model steps out
+        # through its whole budget.  Each coordinate must match
+        # slice_sample_step fed its column of the chain's block of uniforms.
+        sds = np.array([0.02, 0.3, 1e4])
+        inv_var = 1.0 / sds**2
+        C, M = 3, sds.size
+        y0 = np.linspace(-0.4, 0.4, C * M).reshape(C, M) * sds
+        y1, evals, exhausted = bhm._slice_update(
+            lockstep_density(sds), y0, np.ones((C, M), bool),
+            [substream(45, c) for c in range(C)], ("a", "b", "c"), "beta")
+
+        shrinks = []
+        for c in range(C):
+            block = substream(45, c).random((3 + bhm._SHRINK_PREDRAWN, M))
+            for m in range(M):
+                def density(x):
+                    return -0.5 * x * x * inv_var[m]
+
+                calls = []
+
+                def counted(x):
+                    calls.append(x)
+                    return density(x)
+
+                stream = iter(block[:, m])
+                x1 = slice_sample_step(counted, y0[c, m], 1.0, 50,
+                                       SimpleNamespace(uniform=lambda: next(stream)))
+                assert y1[c, m] == x1
+                assert evals[c, m] == len(calls)
+                shrinks.append(block.shape[0] - len(list(stream)) - 3)
+
+                # Stepping-out replay: a side is exhausted when its budget
+                # is non-zero and every end it evaluates lies on the slice.
+                u0, u1, u2 = block[:3, m]
+                log_u = density(y0[c, m]) + math.log(u0)
+                left = y0[c, m] - u1
+                budget_left = math.floor(50 * u2)
+
+                def through(end, step, budget):
+                    for _ in range(budget):
+                        if not density(end) > log_u:
+                            return False
+                        end += step
+                    return budget > 0
+
+                assert exhausted[c, m] == (through(left, -1.0, budget_left)
+                                           or through(left + 1.0, 1.0, 49 - budget_left))
+        assert min(shrinks) == 1 and max(shrinks) > 1
+        assert exhausted[:, 2].all() and not exhausted[:, :2].any()
 
     def test_matches_numerically_integrated_alpha_conditionals(self):
         # A chains x models grid of alpha conditionals at fixed theta, each
