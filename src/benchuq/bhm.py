@@ -368,7 +368,7 @@ def _log_scale_density(other, log_sum, n_tasks, prior):
 def _slice_buffers(C, M):
     """Scratch arrays of :func:`_slice_update` on chains x models points."""
     return (np.empty((C, 3 + _SHRINK_PREDRAWN, M)), np.empty((_SHRINK_PREDRAWN, C, M)),
-            np.zeros((C, M)))
+            np.zeros((C, M)), np.empty((2, C, M), dtype=bool))
 
 
 def _slice_update(logdensity, y0, free, gens, models, param, buffers=None):
@@ -394,7 +394,7 @@ def _slice_update(logdensity, y0, free, gens, models, param, buffers=None):
     budget, each per coordinate (zero where not free).
     """
     C, M = y0.shape
-    block, proposals, extra = _slice_buffers(C, M) if buffers is None else buffers
+    block, proposals, extra, side = _slice_buffers(C, M) if buffers is None else buffers
     for c, gen in enumerate(gens):
         gen.random(out=block[c])
     u = block.transpose(1, 0, 2)
@@ -429,14 +429,16 @@ def _slice_update(logdensity, y0, free, gens, models, param, buffers=None):
     stepout_evals = (start - budget + (budget > 0)).sum(axis=0)
     exhausted = ((start > 0) & (budget == 0)).any(axis=0)
 
+    # A rejected proposal x replaces the left end where x < y0, else the
+    # right: side[0] and side[1] mask the two rows of ``ends``.
     left, right = ends
     for r, x in enumerate(proposals):
         np.subtract(right, left, out=x)
         np.multiply(x, u[3 + r], out=x)
         np.add(left, x, out=x)
-        below = x < y0
-        np.copyto(left, x, where=below)
-        np.copyto(right, x, where=~below)
+        np.less(x, y0, out=side[0])
+        np.logical_not(side[0], out=side[1])
+        np.copyto(ends, x, where=side)
     accept = logdensity(proposals) >= log_u
     np.logical_and(accept, free, out=accept)
     first = accept.argmax(axis=0)
@@ -457,9 +459,9 @@ def _slice_update(logdensity, y0, free, gens, models, param, buffers=None):
         np.copyto(y1, x, where=accept)
         np.copyto(shrink_evals, r + 1, where=accept)
         np.logical_xor(pending, accept, out=pending)
-        below = x < y0
-        np.copyto(left, x, where=below)
-        np.copyto(right, x, where=~below)
+        np.less(x, y0, out=side[0])
+        np.logical_not(side[0], out=side[1])
+        np.copyto(ends, x, where=side)
     if not np.count_nonzero(pending):
         return y1, free * (1 + stepout_evals + shrink_evals).astype(np.int64), exhausted
     c, i = np.argwhere(pending)[0]

@@ -10,7 +10,8 @@ bit-reproducible whatever order they are evaluated in.
 Purpose constants (first key component):
 
 ====================  ===  ========================================
-BOOTSTRAP              0   one stream per bootstrap replicate
+BOOTSTRAP              0   one stream per block of 64 replicates, drawn
+                           cell-major
 CHAIN                  1   one stream per MCMC chain; per sweep: the theta
                            draw, then for alpha and then for beta (unless
                            every model's prior on it is fixed) one block of

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,16 @@ class TestDrawReplicate:
         other_seed = run_bootstrap(table, B=8, seed=43).replicates
         assert not np.array_equal(short[7], other_seed[7])
 
+    def test_replicates_do_not_depend_on_block_boundaries(self):
+        # Blocks hold 64 replicates.  B = 65 and B = 130 cut their last
+        # block after one and two replicates, and replicates 63 and 64 sit
+        # on either side of the first boundary.
+        table = sim_study_table()
+        stores = [run_bootstrap(table, B=B, seed=42).replicates for B in (65, 130, 200)]
+        assert np.array_equal(stores[0], stores[2][:65])
+        assert np.array_equal(stores[1], stores[2][:130])
+        assert not np.array_equal(stores[2][63], stores[2][64])
+
     def test_moments_match_binomial_oracle(self):
         # Y=100 of N=200: mean 0.5, variance 0.5*0.5/200 = 0.00125.
         table = table_of([[100]], [200])
@@ -91,14 +102,17 @@ class TestDrawReplicate:
 
 class TestRunBootstrap:
     def test_single_replicate_equals_draw_replicate(self):
-        # Replicate 0 is one binomial draw per cell, in row-major order, from
-        # the substream keyed on (seed, BOOTSTRAP, 0).
+        # Replicates 0-63 are block 0: one binomial call on the substream
+        # keyed on (seed, BOOTSTRAP, 0), drawn cell-major (the 64 draws of
+        # each cell in turn, cells in row-major order).
         table = sim_study_table()
-        store = run_bootstrap(table, B=1, seed=9)
+        store = run_bootstrap(table, B=64, seed=9)
         gen = rng_mod.substream(9, rng_mod.BOOTSTRAP, 0)
-        sizes = table.sizes[None, :]
-        expected = gen.binomial(sizes, table.counts / sizes) / sizes
-        assert np.array_equal(store.replicates[0], expected)
+        sizes = table.sizes[:, None]
+        p_hat = (table.counts / table.sizes[None, :])[..., None]
+        draws = gen.binomial(sizes, p_hat, size=(2, 3, 64))
+        expected = (draws / sizes).transpose(2, 0, 1)
+        assert np.array_equal(store.replicates, expected)
 
     def test_same_seed_rerun_is_identical(self):
         table = sim_study_table()
@@ -166,6 +180,26 @@ class TestRunBootstrap:
         assert bootstrap._cgroup_limit() is None
         v2.write_text("4096\n")
         assert bootstrap._cgroup_limit() == 4096
+
+    def test_peak_memory_is_the_store_plus_two_blocks(self):
+        # One block's int64 draws on a 64 x 57 table are 1.9 MiB; a larger
+        # block would raise the peak of every wide run.
+        gen = np.random.default_rng(3)
+        sizes = gen.integers(100, 50_000, size=57)
+        counts = gen.binomial(sizes, gen.uniform(0.2, 0.95, size=(64, 57)))
+        table = EvalTable(
+            models=tuple(f"m{i}" for i in range(64)),
+            tasks=tuple(TaskSpec(f"t{j}", "c", int(n)) for j, n in enumerate(sizes)),
+            counts=counts,
+        )
+        tracemalloc.start()
+        try:
+            store = run_bootstrap(table, B=1_000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = 64 * 64 * 57 * 8
+        assert peak <= store.replicates.nbytes + 2 * block
 
     def test_invalid_b_rejected(self):
         with pytest.raises(ValidationError, match=">= 1"):
