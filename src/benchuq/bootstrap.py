@@ -239,8 +239,8 @@ def aggregate_interval(
     """Percentile interval for one model's aggregate score.
 
     Per replicate: optionally normalize per-task scores against the fixed
-    ``normalizer`` bounds, then take the weighted mean across tasks.  The point estimate is the mean of the
-    replicate statistics.
+    ``normalizer`` bounds, then take the weighted mean across tasks.  The
+    point estimate is the mean of the replicate statistics.
     """
     stats = _replicate_statistics(store, model, weights, normalizer)
     lower, upper = percentile_interval(stats, level)

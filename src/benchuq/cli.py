@@ -14,7 +14,6 @@ warnings.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import sys
 import warnings
@@ -702,34 +701,7 @@ def cmd_simstudy(args) -> int:
 # ------------------------------------------------------------------- driver
 
 
-# mallopt parameter numbers from glibc's <malloc.h>.
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-def _reuse_freed_heap() -> None:
-    """Let glibc's malloc hand the rank blocks' freed pages to the next block.
-
-    The rank pass frees about a dozen arrays of up to 0.5 MiB per block.
-    Under glibc's default 128 KiB thresholds each is a fresh mmap, or heap
-    trimmed and grown again, so every block pays page faults: the ten rank
-    tables of a 64 x 57 table at B = 1,000 took twice as long on a 2-core
-    Linux machine.  Where the C library has no mallopt this does nothing.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except AttributeError:
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 1 << 20)  # arrays up to 1 MiB come from the heap
-    mallopt(_M_TRIM_THRESHOLD, 8 << 20)  # and up to 8 MiB of it stays mapped
-
-
 def main(argv=None) -> int:
-    _reuse_freed_heap()
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subs = build_parser()
     try:

@@ -22,6 +22,8 @@ __all__ = [
     "normalize_scores",
 ]
 
+CLAMP_WARNING = "{} normalized values fell outside [0, 1] and were clamped"
+
 
 @dataclass(frozen=True)
 class NormalizationBounds:
@@ -69,6 +71,14 @@ def normalize_scores(values: np.ndarray, bounds: NormalizationBounds) -> np.ndar
     by construction this never fires for values from the store the bounds
     were estimated from.
     """
+    out, n_outside = _clamped_scores(values, bounds)
+    if n_outside:
+        warnings.warn(CLAMP_WARNING.format(n_outside), stacklevel=2)
+    return out
+
+
+def _clamped_scores(values, bounds: NormalizationBounds) -> tuple[np.ndarray, int]:
+    """:func:`normalize_scores` without the warning, plus the clamped count."""
     values = np.asarray(values, dtype=float)
     if values.ndim == 0 or values.shape[-1] != len(bounds.tasks):
         raise ValidationError(
@@ -81,9 +91,5 @@ def normalize_scores(values: np.ndarray, bounds: NormalizationBounds) -> np.ndar
     out /= bounds.high - bounds.low
     n_outside = int(np.count_nonzero((out < 0.0) | (out > 1.0)))
     if n_outside:
-        warnings.warn(
-            f"{n_outside} normalized values fell outside [0, 1] and were clamped",
-            stacklevel=2,
-        )
         np.clip(out, 0.0, 1.0, out=out)
-    return out
+    return out, n_outside

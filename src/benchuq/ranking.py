@@ -31,7 +31,7 @@ import numpy as np
 from . import rng as _rng
 from .bootstrap import DISPLAY_LEVEL, IntervalEstimate, ReplicateStore, percentile_interval
 from .errors import ValidationError
-from .normalize import NormalizationBounds, normalize_scores
+from .normalize import CLAMP_WARNING, NormalizationBounds, _clamped_scores
 
 __all__ = [
     "RankScheme",
@@ -39,10 +39,10 @@ __all__ = [
     "rank_intervals",
 ]
 
-# rank_intervals ranks this many (sample, model, task) cells at a time.  It
-# bounds the rank temporaries at any sample count, and at 512 KiB each they
-# stay in cache: on a 64 x 57 table, blocks of 2**18 cells ranked at half
-# the speed.
+# rank_intervals ranks this many (sample, model, task) cells at a time, in
+# one _Workspace that every block reuses, so it needs no allocator setting to
+# run at full speed.  At 512 KiB each its buffers stay in cache: on a 64 x 57
+# table, blocks of 2**18 cells ranked at half the speed.
 _BLOCK_CELLS = 1 << 16
 
 # The noise sd of AverageRankNoise and the bin width of AverageRankBinned, in
@@ -69,58 +69,80 @@ class RankSummary:
     interval: IntervalEstimate
 
 
-def _descending_ranks(values: np.ndarray, axis: int = -1) -> np.ndarray:
+class _Workspace:
+    """Buffers for ranking blocks of up to ``cells`` values, reused block to block."""
+
+    def __init__(self, cells: int):
+        self.positions = np.arange(cells)
+        self.first, self.from_end = np.empty((2, cells), dtype=self.positions.dtype)
+        self.starts = np.empty(cells + 1, dtype=bool)
+        self.keys, self.ranks, self.percent, self.noise = np.empty((4, cells))
+
+
+def _descending_ranks(values: np.ndarray, ws: _Workspace, axis: int = -1) -> np.ndarray:
     """Fractional ranks along ``axis`` with 1 = largest value.
 
     Tied values share the mean of their positions.  A slice holding a NaN
     ranks NaN throughout.  This matches ``scipy.stats.rankdata(-values,
-    method="average", axis=axis)`` exactly.
+    method="average", axis=axis)`` exactly.  The result is a view of
+    ``ws.ranks``, valid until the next call.
     """
-    x = np.negative(np.moveaxis(np.asarray(values, dtype=float), axis, -1), order="C")
-    if x.size == 0:
-        return np.moveaxis(x, -1, axis)
-    n = x.shape[-1]
-    order = np.argsort(x, axis=-1)
-    ordered = np.sort(x, axis=-1)
-    # Runs of equal values in a sorted slice are tie groups.  A group that
-    # starts at flat position p and holds c values has the mean rank
-    # p + (c + 1) / 2, less the flat position where its slice starts.
-    flat = ordered.ravel()
-    first = np.empty(flat.size, dtype=bool)
-    first[1:] = flat[1:] != flat[:-1]
-    first[::n] = True
-    starts = np.flatnonzero(first)
-    counts = np.diff(starts, append=flat.size)
-    mean_rank = np.repeat(starts + (counts + 1) / 2.0, counts).reshape(x.shape)
-    mean_rank -= np.arange(0, x.size, n).reshape(*x.shape[:-1], 1)
-    mean_rank[np.isnan(ordered[..., -1])] = np.nan  # NaN sorts last
-    ranks = np.empty_like(mean_rank)
-    np.put_along_axis(ranks, order, mean_rank, axis=-1)
-    return np.moveaxis(ranks, -1, axis)
+    values = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
+    size, n = values.size, values.shape[-1]
+    if size == 0:
+        return np.moveaxis(values.copy(), -1, axis)
+    keys = ws.keys[:size].reshape(values.shape)
+    order = np.negative(values, out=keys).argsort(axis=-1)
+    keys.sort(axis=-1)
+    # Runs of equal keys in a sorted slice are tie groups, and every slice
+    # starts one.  A group at flat positions first..last has the mean rank
+    # (first + last) / 2 + 1, less the flat position where its slice starts.
+    # A running maximum of position * starts gives each position's first.
+    # Over the reversed array, where starts[i + 1] flags a group ending at i,
+    # it gives from_end = size - 1 - last.
+    flat, starts = ws.keys[:size], ws.starts[: size + 1]
+    nan_rows = np.isnan(flat[n - 1 :: n])  # NaN sorts last
+    np.not_equal(flat[1:], flat[:-1], out=starts[1:size])
+    starts[::n] = True
+    positions, first, from_end = ws.positions[:size], ws.first[:size], ws.from_end[:size]
+    np.maximum.accumulate(np.multiply(positions, starts[:size], out=first), out=first)
+    np.maximum.accumulate(np.multiply(positions, starts[:0:-1], out=from_end), out=from_end)
+    np.subtract(first, from_end[::-1], out=first)
+    mean_rank = np.multiply(first, 0.5, out=flat).reshape(-1, n)
+    mean_rank -= positions[::n, None] - (size + 1) / 2
+    mean_rank[nan_rows] = np.nan
+    # Scatter each mean rank to the flat input position it was sorted from.
+    np.add(order.reshape(-1, n), positions[::n, None], out=first.reshape(-1, n))
+    ws.ranks[first] = flat
+    return np.moveaxis(ws.ranks[:size].reshape(values.shape), -1, axis)
 
 
-def _block_ranks(block, scheme, noise=None):
+def _block_ranks(block, scheme, ws, seed, lo):
     """Per-sample ranks of a samples x models x tasks block.
 
     Returns the samples x models ranks and the number of (sample, model)
-    pairs with a zero accuracy, which only the geometric mean counts.
-    ``noise`` holds the percentage-point noise of the noise variant.
+    pairs with a zero accuracy, which only the geometric mean counts.  Noise
+    for sample ``lo + i`` comes from its RANK_NOISE substream of ``seed``.
     """
     if scheme == RankScheme.BY_AVERAGE:
-        return _descending_ranks(block.mean(axis=2)), 0
+        return _descending_ranks(block.mean(axis=2), ws), 0
     if scheme == RankScheme.GEOMETRIC_MEAN:
         has_zero = (block == 0.0).any(axis=2)
         with np.errstate(divide="ignore"):
             gm = np.exp(np.log(block).mean(axis=2))
         gm[has_zero] = 0.0
-        return _descending_ranks(gm), int(has_zero.sum())
-    percent = block * 100.0
+        return _descending_ranks(gm, ws), int(has_zero.sum())
+    percent = np.multiply(block, 100.0, out=ws.percent[: block.size].reshape(block.shape))
     if scheme == RankScheme.AVERAGE_RANK_NOISE:
+        noise = ws.noise[: block.size].reshape(block.shape)
+        for s, row in enumerate(noise, start=lo):
+            _rng.substream(seed, _rng.RANK_NOISE, s).standard_normal(out=row)
+        noise *= _NOISE_SD
         percent += noise
     elif scheme == RankScheme.AVERAGE_RANK_BINNED:
         percent /= _BIN_WIDTH
         np.floor(percent, out=percent)
-    return _descending_ranks(percent, axis=1).mean(axis=2), 0
+    return _descending_ranks(percent, ws, axis=1).mean(axis=2), 0
 
 
 def rank_intervals(
@@ -139,11 +161,14 @@ def rank_intervals(
     ``normalizer``, each block of samples goes through
     :func:`~benchuq.normalize.normalize_scores` against those fixed bounds
     just before it is ranked, so the ranks equal those of the normalized
-    samples without a normalized copy of them.  The noise variant adds
-    normal noise of sd 1 percentage point, drawn fresh per sample from the
-    RANK_NOISE substream of ``seed`` (default: the store's seed, else 0)
-    keyed by sample index, so results do not depend on evaluation order.
-    The binned variant uses bins 1 percentage point wide.
+    samples without a normalized copy of them; one warning per call counts
+    the values clamped into [0, 1].  The noise variant adds normal noise of
+    sd 1 percentage point, drawn fresh per sample from the RANK_NOISE
+    substream of ``seed`` (default: the store's seed, else 0) keyed by
+    sample index, so results do not depend on evaluation order.
+    The binned variant uses bins 1 percentage point wide.  Each call holds
+    its blocks' keys, ranks, tie edges, percentages and noise in one
+    workspace of block-sized buffers, so no allocator setting is needed.
     """
     scheme = RankScheme(scheme)
     if isinstance(samples, ReplicateStore):
@@ -174,22 +199,18 @@ def rank_intervals(
     # Models x samples, so one quantile call along the last axis gives every
     # model's interval.
     ranks = np.empty((n_models, n_samples))
-    n_zero = 0
+    ws = _Workspace(min(n_samples, step) * n_models * max(1, n_tasks))
+    n_zero = n_outside = 0
     for lo in range(0, n_samples, step):
         block = values[lo : lo + step]
         if normalizer is not None:
-            block = normalize_scores(block, normalizer)
-        noise = None
-        if scheme == RankScheme.AVERAGE_RANK_NOISE:
-            noise = np.stack([
-                _rng.substream(seed, _rng.RANK_NOISE, s).normal(
-                    0.0, _NOISE_SD, size=(n_models, n_tasks)
-                )
-                for s in range(lo, lo + len(block))
-            ])
-        block_ranks, zeros = _block_ranks(block, scheme, noise)
+            block, outside = _clamped_scores(block, normalizer)
+            n_outside += outside
+        block_ranks, zeros = _block_ranks(block, scheme, ws, seed, lo)
         ranks[:, lo : lo + len(block)] = block_ranks.T
         n_zero += zeros
+    if n_outside:
+        warnings.warn(CLAMP_WARNING.format(n_outside), stacklevel=2)
     if n_zero:
         warnings.warn(
             f"{n_zero} (sample, model) pair(s) have a zero accuracy; their "

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 from scipy.stats import rankdata
@@ -19,6 +19,7 @@ from benchuq.bootstrap import (
 )
 from benchuq.core import EvalTable, TaskSpec
 from benchuq.errors import ValidationError
+from benchuq.fixtures import load_vtab
 from benchuq.normalize import estimate_bounds, normalize_scores
 from benchuq.ranking import RankScheme, _descending_ranks, rank_intervals
 
@@ -257,20 +258,27 @@ def test_store_seed_is_default_noise_seed(small=small_table):
 # ------------------------------------------ block path against the oracle
 
 
-@given(
-    npst.arrays(
-        np.float64,
-        st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 5)),
-        elements=st.integers(0, 3).map(lambda k: k / 3.0),
-    ),
-    st.integers(0, 2),
+_SMALL_ARRAYS = npst.arrays(
+    np.float64,
+    st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 5)),
+    elements=st.integers(0, 3).map(lambda k: k / 3.0),
 )
+
+
+@given(_SMALL_ARRAYS, _SMALL_ARRAYS, st.integers(0, 2), st.data())
 @settings(max_examples=150, deadline=None)
-def test_descending_ranks_equal_rankdata(values, axis):
+def test_descending_ranks_equal_rankdata(first, second, axis, data):
     # Few distinct values, so most slices hold ties; shapes include a single
-    # sample, a single model and a single task.
-    ranks = _descending_ranks(values, axis=axis)
-    assert np.array_equal(ranks, rankdata(-values, method="average", axis=axis))
+    # sample, a single model and a single task.  Both arrays go through one
+    # workspace sized for the larger, so a tie edge or NaN row that one call
+    # leaves behind would corrupt the other.  The first holds a NaN slice.
+    assume(first.shape != second.shape)
+    first.flat[data.draw(st.integers(0, first.size - 1))] = np.nan
+    ws = ranking_mod._Workspace(max(first.size, second.size))
+    for values in (first, second):
+        ranks = _descending_ranks(values, ws, axis=axis)
+        expected = rankdata(-values, method="average", axis=axis)
+        assert np.array_equal(ranks, expected, equal_nan=True)
 
 
 def _reference_ranks(values, scheme, seed, noise_sd=1.0, bin_width=1.0):
@@ -354,3 +362,19 @@ def test_rank_intervals_geometric_mean_zero_cells_warn_once():
     ranks = _reference_ranks(samples, RankScheme.GEOMETRIC_MEAN, 0)
     assert _summary_rows(summaries) == _reference_rows(ranks)
     assert ranks[0, 0] == 4.0 and ranks[3, 0] == ranks[3, 2] == 3.5
+
+
+def test_rank_intervals_clamp_warning_counts_every_block_once():
+    # Bounds from a small store clamp values of a larger one in each of its
+    # ten blocks; the call warns once, for the caller, with the whole count.
+    table = load_vtab()
+    bounds = estimate_bounds(run_bootstrap(table, B=50, seed=1))
+    store = run_bootstrap(table, B=2000, seed=2)
+    assert len(store.replicates) > 2 * (ranking_mod._BLOCK_CELLS // store.replicates[0].size)
+    with pytest.warns(UserWarning, match="clamped") as whole:
+        normalize_scores(store.replicates, bounds)
+    with pytest.warns(UserWarning, match="clamped") as record:
+        rank_intervals(store.replicates, RankScheme.BY_AVERAGE, normalizer=bounds)
+    assert len(record) == 1
+    assert str(record[0].message) == str(whole[0].message)
+    assert record[0].filename == __file__

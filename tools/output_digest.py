@@ -13,8 +13,9 @@ The script prints one ``sha256  command/relative/path`` line per output file,
 sorted, and then the sha256 of that listing.  Two checkouts whose listings
 hash the same wrote byte-identical output trees.  It exits 1 if any command
 exits nonzero.  Each command's peak resident set size (``ru_maxrss`` from
-``os.wait4``, read as KiB as Linux reports it) and wall time go to standard
-error, so standard output stays the listing alone.
+``os.wait4``, read as KiB as Linux reports it), minor page faults
+(``ru_minflt``) and wall time go to standard error, so standard output stays
+the listing alone.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ def main(argv=None) -> int:
                 _, status, usage = os.wait4(proc.pid, 0)
                 proc.returncode = os.waitstatus_to_exitcode(status)
             print(f"{name}: peak RSS {usage.ru_maxrss / 1024:.1f} MiB, "
+                  f"{usage.ru_minflt} minor faults, "
                   f"wall {time.perf_counter() - start:.2f} s", file=sys.stderr)
             if proc.returncode != 0:
                 failed.append(name)
