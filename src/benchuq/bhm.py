@@ -591,9 +591,10 @@ def fit_bhm(
     by_model = _normalize_priors(priors, table.models)
     prior_pairs = [by_model[m] for m in table.models]
     K = config.retained_per_chain
-    if K < 1:
+    if K < 4:  # split_rhat and effective_sample_size need 4 per chain
         raise ValidationError(
-            "no draws retained: increase total_iterations or reduce burn-in/thinning"
+            f"K = (iterations {config.total_iterations} - burn-in {config.burn_in})"
+            f" // thinning {config.thinning} = {K} draws per chain; need K >= 4"
         )
     C = config.chains
     n_models, n_tasks = table.counts.shape

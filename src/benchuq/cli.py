@@ -240,23 +240,25 @@ def _apply_config(argv, parser: _Parser, subs: dict[str, _Parser]):
     if not isinstance(loaded, dict):
         raise _UsageError(f"config {path} must be a JSON object")
     target = subs[command]
-    actions = {action.dest: action for action in target._actions}
+    # Keys are long option names without "--"; "_" may stand for "-".
+    actions = {option[2:]: action for action in target._actions
+               for option in action.option_strings if option.startswith("--")}
     defaults = {}
     for key, value in loaded.items():
-        dest = key.replace("-", "_")
-        if dest not in actions:
-            raise _UsageError(f"config {path}: unknown option {key!r}")
-        action = actions[dest]
-        # argparse converts and checks only the values it parses, so a
-        # config value goes through the same type and choices as its flag.
-        if value is not None:
-            try:
-                if action.type is not None:
-                    value = target._get_value(action, str(value))
+        action = actions.get(key.replace("_", "-"))
+        if action is None:
+            target.error(f"config {path}: unknown option {key!r}")
+        # argparse checks only what it parses: a flag takes a JSON boolean,
+        # and any other value goes through str and its option's type and choices.
+        try:
+            if action.nargs != 0:
+                value = target._get_value(action, str(value))
                 target._check_value(action, value)
-            except argparse.ArgumentError as exc:
-                target.error(f"config {path}: {exc}")
-        defaults[dest] = value
+            elif not isinstance(value, bool):
+                raise argparse.ArgumentError(action, f"needs true or false, got {value!r}")
+        except argparse.ArgumentError as exc:
+            target.error(f"config {path}: {exc}")
+        defaults[action.dest] = value
     target.set_defaults(**defaults)
 
 
@@ -277,9 +279,7 @@ def _using_fixture(args) -> bool:
 
 
 def _formats(args) -> set[str]:
-    raw = args.formats
-    parts = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
-    formats = {part.strip() for part in parts if part.strip()}
+    formats = {part.strip() for part in args.formats.split(",") if part.strip()}
     unknown = formats - set(rpt.REPORT_FORMATS)
     if unknown:
         raise _UsageError(

@@ -117,12 +117,12 @@ def _descending_ranks(values: np.ndarray, ws: _Workspace, axis: int = -1) -> np.
     return np.moveaxis(ws.ranks[:size].reshape(values.shape), -1, axis)
 
 
-def _block_ranks(block, scheme, ws, seed, lo):
+def _block_ranks(block, scheme, ws, gen):
     """Per-sample ranks of a samples x models x tasks block.
 
     Returns the samples x models ranks and the number of (sample, model)
-    pairs with a zero accuracy, which only the geometric mean counts.  Noise
-    for sample ``lo + i`` comes from its RANK_NOISE substream of ``seed``.
+    pairs with a zero accuracy, which only the geometric mean counts.  The
+    block's noise is the next ``block.size`` normals of ``gen``.
     """
     if scheme == RankScheme.BY_AVERAGE:
         return _descending_ranks(block.mean(axis=2), ws), 0
@@ -134,11 +134,8 @@ def _block_ranks(block, scheme, ws, seed, lo):
         return _descending_ranks(gm, ws), int(has_zero.sum())
     percent = np.multiply(block, 100.0, out=ws.percent[: block.size].reshape(block.shape))
     if scheme == RankScheme.AVERAGE_RANK_NOISE:
-        noise = ws.noise[: block.size].reshape(block.shape)
-        for s, row in enumerate(noise, start=lo):
-            _rng.substream(seed, _rng.RANK_NOISE, s).standard_normal(out=row)
-        noise *= _NOISE_SD
-        percent += noise
+        noise = gen.standard_normal(out=ws.noise[: block.size].reshape(block.shape))
+        percent += np.multiply(noise, _NOISE_SD, out=noise)
     elif scheme == RankScheme.AVERAGE_RANK_BINNED:
         percent /= _BIN_WIDTH
         np.floor(percent, out=percent)
@@ -163,12 +160,12 @@ def rank_intervals(
     just before it is ranked, so the ranks equal those of the normalized
     samples without a normalized copy of them; one warning per call counts
     the values clamped into [0, 1].  The noise variant adds normal noise of
-    sd 1 percentage point, drawn fresh per sample from the RANK_NOISE
-    substream of ``seed`` (default: the store's seed, else 0) keyed by
-    sample index, so results do not depend on evaluation order.
-    The binned variant uses bins 1 percentage point wide.  Each call holds
-    its blocks' keys, ranks, tie edges, percentages and noise in one
-    workspace of block-sized buffers, so no allocator setting is needed.
+    sd 1 percentage point: sample s of M x T cells takes normals [s*M*T,
+    (s+1)*M*T) of the RANK_NOISE substream of ``seed`` (default: the store's
+    seed, else 0) whatever the sample count or block size, so raw and
+    normalized tables share it.  Binned bins are 1 percentage point wide.
+    Each call ranks its blocks in one workspace of block-sized buffers, so
+    no allocator setting is needed.
     """
     scheme = RankScheme(scheme)
     if isinstance(samples, ReplicateStore):
@@ -200,13 +197,14 @@ def rank_intervals(
     # model's interval.
     ranks = np.empty((n_models, n_samples))
     ws = _Workspace(min(n_samples, step) * n_models * max(1, n_tasks))
+    gen = _rng.substream(seed, _rng.RANK_NOISE)
     n_zero = n_outside = 0
     for lo in range(0, n_samples, step):
         block = values[lo : lo + step]
         if normalizer is not None:
             block, outside = _clamped_scores(block, normalizer)
             n_outside += outside
-        block_ranks, zeros = _block_ranks(block, scheme, ws, seed, lo)
+        block_ranks, zeros = _block_ranks(block, scheme, ws, gen)
         ranks[:, lo : lo + len(block)] = block_ranks.T
         n_zero += zeros
     if n_outside:

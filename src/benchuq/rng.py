@@ -19,7 +19,7 @@ CHAIN                  1   one stream per MCMC chain; per sweep: the theta
                            12 shrinkage proposals per model), plus one
                            uniform per later shrinkage round of each model
                            still pending
-RANK_NOISE             2   one stream per sample for noisy ranking
+RANK_NOISE             2   one stream per rank table, drawn sample-major
 (retired)              3   once count-synthesis jitter
 PREDICTIVE             4   posterior predictive draws
 (retired)              5   once synthetic test data

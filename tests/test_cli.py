@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import benchuq
+import benchuq.bhm as bhm_mod
 import benchuq.cli as cli
 from benchuq.bhm import DEFAULT_PRIOR_RATE, McmcConfig
 from benchuq.bootstrap import run_bootstrap
@@ -104,6 +105,20 @@ def test_invalid_mcmc_shape_is_data_error(tmp_path):
     assert run(argv) == EXIT_DATA
 
 
+def test_too_few_retained_draws_fail_before_sampling(tmp_path, capsys, monkeypatch):
+    # (3000 - 2990) // 5 = 2 draws per chain; split R-hat needs 4.
+    def sampler(*args):
+        raise AssertionError("the sampler ran")
+
+    monkeypatch.setattr(bhm_mod, "_run_chains", sampler)
+    argv = ["bhm", "--out-dir", str(tmp_path / "out"),
+            "--iterations", "3000", "--burn-in", "2990", "--thinning", "5"]
+    assert run(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    for part in ("iterations 3000", "burn-in 2990", "thinning 5", "= 2", "K >= 4"):
+        assert part in err
+
+
 def test_parser_covers_documented_commands():
     _, subs = build_parser()
     assert set(subs) == {"ingest", "bootstrap", "bhm", "ranks", "simplex",
@@ -160,6 +175,11 @@ def test_config_missing_file_is_usage_error(tmp_path):
     [
         ("bootstrap", {"replicates": 2.5}, "--replicates"),
         ("ranks", {"scheme": "nope"}, "--scheme"),
+        # A flag takes only a JSON boolean: the string "false" is not false.
+        ("report", {"no-bhm": "false"}, "--no-bhm"),
+        ("report", {"no_bhm": 1}, "--no-bhm"),
+        # Keys are option names, not argparse's internal destinations.
+        ("bootstrap", {"eval_path": 3, "task_path": "tasks.csv"}, "'eval_path'"),
     ],
 )
 def test_config_value_of_wrong_type_or_choice_is_usage_error(
@@ -182,6 +202,14 @@ def test_config_string_values_are_converted(tmp_path, capsys):
     assert run(argv) == EXIT_OK
     payload = json.loads((out / "bootstrap.json").read_text())
     assert (payload["seed"], payload["replicates"]) == (3, 20)
+
+
+def test_config_eval_and_tasks_load_the_table(tmp_path, capsys):
+    evals, tasks = write_counts_csv(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eval": str(evals), "tasks": str(tasks)}))
+    assert run(["ingest", "--config", str(cfg)]) == EXIT_OK
+    assert "3 models x 3 tasks" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["bootstrap", "bhm"])

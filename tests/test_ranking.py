@@ -218,13 +218,18 @@ def test_rank_intervals_noise_reproducible_and_seed_sensitive(store):
     assert [s.point for s in a] != [s.point for s in c]
 
 
-def test_rank_intervals_noise_keyed_by_sample_index(store):
-    # The noise for sample s comes from substream(seed, RANK_NOISE, s): the
-    # first sample's ranks match a manual draw from that exact stream.
-    summaries = rank_intervals(store, RankScheme.AVERAGE_RANK_NOISE, seed=store.seed)
-    ranks = _reference_ranks(store.replicates, RankScheme.AVERAGE_RANK_NOISE, store.seed)
-    for i, s in enumerate(summaries):
-        assert s.point == pytest.approx(ranks[:, i].mean())
+def test_rank_intervals_noise_is_one_stream_in_sample_order(store, monkeypatch):
+    # Sample s takes normals [s*M*T, (s+1)*M*T) of substream(seed,
+    # RANK_NOISE), so the first k samples of a store rank as a k-sample
+    # array does, and blocks of 7 samples (400 = 57 * 7 + 1) change nothing.
+    noise, k = RankScheme.AVERAGE_RANK_NOISE, 123
+    ranks = _reference_ranks(store.replicates, noise, store.seed)
+    whole = rank_intervals(store, noise)
+    prefix = rank_intervals(store.replicates[:k], noise, seed=store.seed)
+    assert _summary_rows(whole) == _reference_rows(ranks)
+    assert _summary_rows(prefix) == _reference_rows(ranks[:k])
+    monkeypatch.setattr(ranking_mod, "_BLOCK_CELLS", 7 * store.replicates[0].size)
+    assert rank_intervals(store, noise) == whole
 
 
 def test_rank_intervals_validation(store):
@@ -282,9 +287,14 @@ def test_descending_ranks_equal_rankdata(first, second, axis, data):
 
 
 def _reference_ranks(values, scheme, seed, noise_sd=1.0, bin_width=1.0):
-    """Sample-by-sample ranks with scipy's rankdata, as the loop computed them."""
+    """Sample-by-sample ranks with scipy's rankdata, as the loop computed them.
+
+    The noise scheme draws each sample's normals in turn from one RANK_NOISE
+    substream of ``seed``.
+    """
     scheme = RankScheme(scheme)
     ranks = np.empty(values.shape[:2])
+    gen = rng_mod.substream(seed, rng_mod.RANK_NOISE)
     for s, acc in enumerate(values):
         if scheme == RankScheme.BY_AVERAGE:
             ranks[s] = rankdata(-acc.mean(axis=1), method="average")
@@ -297,7 +307,6 @@ def _reference_ranks(values, scheme, seed, noise_sd=1.0, bin_width=1.0):
             continue
         percent = acc * 100.0
         if scheme == RankScheme.AVERAGE_RANK_NOISE:
-            gen = rng_mod.substream(seed, rng_mod.RANK_NOISE, s)
             percent = percent + gen.normal(0.0, noise_sd, size=percent.shape)
         elif scheme == RankScheme.AVERAGE_RANK_BINNED:
             percent = np.floor(percent / bin_width)
