@@ -19,17 +19,19 @@ from benchuq.bhm import (
 
 table = load_vtab()
 
-# Shortened chains keep the demo quick; defaults are 12k x 4 chains.
+# 2 x 1,000 independent draws keep the demo quick; the default is 4 x 2,000.
 config = McmcConfig(total_iterations=3_000, burn_in=1_000, thinning=2,
                     chains=2, seed=0)
 draws = fit_bhm(table, priors=PriorSpec.exponential(1e-4), config=config)
 print(f"retained draws: {draws.n_draws}")
 
-# Convergence diagnostics per model: split-chain R-hat and effective
-# sample size of the across-task mean.
+# Diagnostics per model: split-chain R-hat and effective sample size of
+# the across-task mean, and the posterior grid's edge mass.
 worst = max(draws.diagnostics.items(), key=lambda kv: kv[1]["rhat"])
 print(f"worst R-hat: {worst[1]['rhat']:.4f} ({worst[0]}), "
       f"ESS {worst[1]['ess']:.0f}")
+print(f"largest grid edge mass: "
+      f"{max(d['edge_mass'] for d in draws.diagnostics.values()):.1e}")
 
 # Credible intervals for the across-task mean theta, top six models.
 from benchuq.report import format_interval

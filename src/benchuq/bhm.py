@@ -1,28 +1,29 @@
-"""Beta-binomial hierarchical model fitted by slice-within-Gibbs sampling.
+"""Beta-binomial hierarchical model, sampled exactly on a grid.
 
 Each cell count is Y_ij | theta_ij ~ Binomial(N_j, theta_ij) with
 theta_ij | alpha_i, beta_i ~ Beta(alpha_i, beta_i) and independent
-hyperpriors on every model's (alpha_i, beta_i).  The theta updates are
-conjugate Beta draws; the hyperparameter conditionals are not recognizable
-distributions, so each alpha_i and beta_i moves by one univariate slice
-step (stepping-out and shrinkage, Neal 2003) per sweep.
+hyperpriors on every model's (alpha_i, beta_i).  No parameter is shared
+across models, so theta integrates out in closed form and each model's
+posterior over (a, b) = (log alpha, log beta) is a 2-D density, up to a
+constant
 
-A sweep runs every chain and every model in lockstep on chains x models
-arrays: the conjugate theta draw, then one slice step of every free alpha,
-then one of every free beta.  Given theta, the alpha_i are conditionally
-independent across models (and the beta_i given theta and alpha), and
-chains are independent, so each block of side-by-side slice steps is one
-valid Gibbs step: every coordinate follows exactly the transition of
-:func:`slice_sample_step`, with masks marking the coordinates still
-stepping out or still shrinking.  Shrinkage evaluates a step's predrawn
-proposals speculatively, in one call; the per-model ``evals_per_step``
-still counts what :func:`slice_sample_step` would evaluate.
+    log p_alpha(e^a) + a + log p_beta(e^b) + b
+    + sum_j [log B(e^a + Y_ij, e^b + N_j - Y_ij) - log B(e^a, e^b)].
 
-Slice steps run on the log-transformed hyperparameter with the +log(x)
-Jacobian term, because alpha and beta range over orders of magnitude and a
-fixed slice width only makes sense on the log scale.  The transform is an
-implementation device: the sampled distribution is the untransformed
-conditional, which the tests verify directly.
+:func:`fit_bhm` puts that density on a grid and samples it exactly, as in
+the rat-tumour computation of Gelman et al., *Bayesian Data Analysis*
+(3rd ed.), section 5.3, and in their coordinates: the logit of the prior
+mean, a - b, and the log concentration, log(alpha + beta), which map to
+(a, b) with unit Jacobian.  A coarse grid first finds the box holding the
+posterior, and a fine grid refits it to the mass and resolves it (see
+:func:`_posterior_grid`).  The fine grid is sampled by cell mass, each draw
+jittered uniformly within its cell, and theta follows from its conjugate
+Beta.  The draws are independent.  A fixed hyperparameter leaves a 1-D
+grid in the other's log, and two leave plain conjugate draws.
+
+The log-gamma values come from :func:`_lgamma`, in numpy alone: a warm
+``import scipy.special`` costs about a third of a second and 15 MiB, more
+than a whole simulation-study fit.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .weighting import UNWEIGHTED, WeightVector, resolve_task_weights
 __all__ = [
     "DEFAULT_PRIOR_RATE",
     "RHAT_WARN_THRESHOLD",
+    "EDGE_MASS_WARN_THRESHOLD",
     "PriorSpec",
     "McmcConfig",
     "PosteriorDraws",
@@ -64,28 +66,48 @@ DEFAULT_PRIOR_RATE = 1.0 / 10_000
 
 RHAT_WARN_THRESHOLD = 1.05
 
+# Share of a model's grid mass in the outermost cells above which the box
+# may have cut off part of the posterior.
+EDGE_MASS_WARN_THRESHOLD = 1e-6
+
 # Shrinkage halves the bracket (in expectation) every rejection, so a
 # conforming log density cannot take anywhere near this many tries.
 _SHRINK_BUDGET = 200
 
-# Slice window for log(alpha) and log(beta): one unit is a factor of e, and
-# the stepping-out budget of 50 windows spans a factor of e^50 in total.
-_SLICE_WIDTH = 1.0
-_SLICE_MAX_STEPOUT = 50
-
-# Shrinkage proposals each chain draws up front, per coordinate, in its one
-# block of uniforms per slice update, all evaluated in one call; a coordinate
-# that rejects them all draws one more uniform per round.  A step takes ~3
-# on the fixture and ~8 under the simulation study's tight priors, where
-# half of the updates run a few more rounds.
-_SHRINK_PREDRAWN = 12
-
-# Stepping-out direction of the left and right slice ends.
-_OUTWARD = np.array([-_SLICE_WIDTH, _SLICE_WIDTH])[:, None, None]
+# The grid.  With both hyperparameters free its axes are the logit of the
+# prior mean and the log concentration; otherwise log alpha and log beta
+# (see _coordinates).  The box starts as [-_LOG_LIMIT, _LOG_LIMIT] on every
+# free axis and never leaves it: beyond e^25, lgamma differences lose
+# digits.  Coarse grids of _COARSE points per free axis move it to the
+# cells within _CUTOFF log units of the peak (a relative density of e^-25
+# per cell).  Fine grids of _FINE points then move each side to leave out
+# at most _TAIL of the mass, a side whose outermost cells hold more than
+# _GROW growing instead; and an axis whose step exceeds _RESOLUTION of its
+# conditional sd doubles its points, up to _FINE_MAX.  Uniform jitter within
+# a cell adds step^2 / 12 to the variance along the axis, here at most
+# 0.75%.  Weakly identified tables need that along the logit mean, where
+# their posterior narrows as the concentration grows.  Each stage stops
+# after _ROUNDS rounds at most; a box still moving then shows in the edge
+# mass.
+_LOG_LIMIT = 25.0
+_COARSE = 33
+_CUTOFF = 25.0
+_FINE = (129, 65)
+_FINE_MAX = 1025
+_RESOLUTION = 0.3
+_TAIL = 1e-12
+_GROW = 1e-9
+_ROUNDS = 40
 
 # Keeps log(theta) and log1p(-theta) finite when a conjugate draw rounds
 # to an endpoint in floating point.
 _THETA_EPS = 1e-12
+
+# Stirling series coefficients B_2k / (2k (2k - 1)), k = 8 down to 1, for
+# :func:`_lgamma`.
+_STIRLING = np.array([-3617 / 122_400, 1 / 156, -691 / 360_360, 1 / 1188,
+                      -1 / 1680, 1 / 1260, -1 / 360, 1 / 12])
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -124,7 +146,7 @@ class PriorSpec:
 
     @classmethod
     def fixed(cls, value: float) -> "PriorSpec":
-        """Point mass: pins the hyperparameter, disabling its slice step."""
+        """Point mass: pins the hyperparameter, removing its axis from the grid."""
         return cls(kind="fixed", value=value)
 
     def coefficients(self) -> tuple[float, float, float, float]:
@@ -152,7 +174,12 @@ class PriorSpec:
 
 @dataclass(frozen=True)
 class McmcConfig:
-    """Sampler controls; defaults are tuned for benchmark-scale tables."""
+    """Draw counts: chains x ((total_iterations - burn_in) // thinning) draws.
+
+    The grid sampler draws independently, so the fields set only how many
+    draws each chain keeps and how the split-chain diagnostics group them.
+    ``seed`` keys the draws.
+    """
 
     total_iterations: int = 12_000
     burn_in: int = 2_000
@@ -177,7 +204,7 @@ class McmcConfig:
 
 @dataclass(frozen=True)
 class PosteriorDraws:
-    """Retained MCMC draws, chain-major: draw s belongs to chain s // K."""
+    """Posterior draws, chain-major: draw s belongs to chain s // K."""
 
     theta: np.ndarray = field(repr=False)
     alpha: np.ndarray = field(repr=False)
@@ -228,18 +255,41 @@ def _log_prior(x, log_rate, rate, mu, inv_sigma):
     return log_rate - rate * x - 0.5 * ((x - mu) * inv_sigma) ** 2
 
 
-def _log_conditional(x, other, log_sum, n_tasks, log_prior, betaln):
-    """Log full conditional of a hyperparameter x > 0, up to a constant; broadcasts.
+def _lgamma(x):
+    """log Gamma(x) elementwise for x > 0, in numpy alone.
 
-    log_prior(x) + (x - 1) log_sum - n_tasks log B(x, other), where
-    ``log_prior`` is the log prior density as a function of x and
-    ``log_sum`` is sum_j log theta_j for alpha and sum_j log(1 - theta_j)
-    for beta.  log B is symmetric, so one expression serves both.
-    ``betaln`` is ``scipy.special.betaln``, which callers import when they
-    first need it: importing scipy.special doubles the start-up of every
-    command, and only the BHM uses it.
+    The Stirling series gives log Gamma(z) for z >= 8 to double precision;
+    smaller arguments are shifted there by
+    Gamma(x) = Gamma(x + 8) / (x (x + 1) ... (x + 7)).  The series keeps
+    k terms, enough that the first one left out, about z^-(2k + 1) at the
+    smallest z, is below 1e-17.
     """
-    return log_prior(x) + (x - 1.0) * log_sum - n_tasks * betaln(x, other)
+    x = np.asarray(x, dtype=float)
+    low = x.min(initial=8.0)
+    z = x + 8.0 if low < 8.0 else x
+    terms = math.ceil((17 * math.log(10) / math.log(max(low, 8.0)) - 1) / 2)
+    terms = min(len(_STIRLING), max(1, terms))
+    r = 1.0 / z
+    r2 = r * r
+    series = np.full_like(z, _STIRLING[-terms])
+    for c in _STIRLING[len(_STIRLING) - terms + 1:]:
+        series *= r2
+        series += c
+    series *= r
+    out = (z - 0.5) * np.log(z) - z + _HALF_LOG_2PI + series
+    if low < 8.0:
+        product = x.copy()
+        for k in range(1, 8):
+            product *= x + k
+        out -= np.log(product)
+    return out
+
+
+def _scalar_conditional(x, other, log_terms, prior) -> float:
+    """log prior(x) + (x - 1) sum(log_terms) - J log B(x, other), J = len(log_terms)."""
+    betaln = math.lgamma(x) + math.lgamma(other) - math.lgamma(x + other)
+    log_sum = float(np.sum(log_terms))
+    return prior.log_density(x) + (x - 1.0) * log_sum - np.size(log_terms) * betaln
 
 
 def log_conditional_alpha(alpha: float, beta: float, thetas, prior: PriorSpec) -> float:
@@ -247,26 +297,18 @@ def log_conditional_alpha(alpha: float, beta: float, thetas, prior: PriorSpec) -
 
     log p(alpha | ...) = log prior(alpha) + (alpha - 1) sum_j log theta_j
                          - J log B(alpha, beta);
-    returns -inf for alpha <= 0 so the slice sampler sees the support edge.
+    returns -inf for alpha <= 0.
     """
     if alpha <= 0:
         return -math.inf
-    from scipy.special import betaln
-
-    thetas = np.asarray(thetas, dtype=float)
-    return float(_log_conditional(alpha, beta, np.log(thetas).sum(), thetas.size,
-                                  prior.log_density, betaln))
+    return _scalar_conditional(alpha, beta, np.log(np.asarray(thetas, dtype=float)), prior)
 
 
 def log_conditional_beta(alpha: float, beta: float, thetas, prior: PriorSpec) -> float:
     """Symmetric counterpart of log_conditional_alpha, driven by log(1 - theta)."""
     if beta <= 0:
         return -math.inf
-    from scipy.special import betaln
-
-    thetas = np.asarray(thetas, dtype=float)
-    return float(_log_conditional(beta, alpha, np.log1p(-thetas).sum(), thetas.size,
-                                  prior.log_density, betaln))
+    return _scalar_conditional(beta, alpha, np.log1p(-np.asarray(thetas, dtype=float)), prior)
 
 
 def slice_sample_step(
@@ -283,9 +325,7 @@ def slice_sample_step(
     split randomly between the two directions, which keeps the transition
     reversible), then samples uniformly on the bracket, shrinking it toward
     x0 on each rejection.  The return value always satisfies
-    logdensity(x1) >= u.  This is the scalar reference for the lockstep
-    kernel that :func:`fit_bhm` runs; the tests hold the two to the same
-    path when fed the same uniforms.
+    logdensity(x1) >= u.
     """
     logp0 = logdensity(x0)
     if not np.isfinite(logp0):
@@ -341,232 +381,172 @@ def _normalize_priors(priors, models) -> dict[str, tuple[PriorSpec, PriorSpec]]:
     return {m: tuple(priors[m]) if m in priors else default for m in models}
 
 
-def _log_scale_density(other, log_sum, n_tasks, prior):
-    """The conditional of y = log x, Jacobian term included, as a function of y.
+def _coordinates(prior_a, prior_b):
+    """The grid coordinates (x, y) of one model: their start box and map.
 
-    A prior term whose coefficients are all 0 adds an exact 0 and is left out.
+    With both hyperparameters free, x = log(alpha / beta) is the logit of
+    the prior mean and y = log(alpha + beta) the log concentration, as in
+    Gelman et al.: weakly identified posteriors stretch along y, and a thin
+    ridge along the diagonal of log alpha and log beta would fall between
+    grid cells.  Otherwise x and y are log alpha and log beta, and a fixed
+    one is the single point log value.  Returns the start box's ends ``lo``
+    and ``hi``, and the map from (x, y) to log alpha, log beta and
+    log(alpha + beta).
     """
-    from scipy.special import betaln
+    if prior_a.kind != "fixed" and prior_b.kind != "fixed":
+        def to_logs(x, y):
+            return y - np.logaddexp(0.0, -x), y - np.logaddexp(0.0, x), y
 
-    log_rate, rate, mu, inv_sigma = prior
-    if not np.any(inv_sigma):
-        def log_prior(x):
-            return log_rate - rate * x
-    elif not np.any(rate):
-        def log_prior(x):
-            return -0.5 * ((x - mu) * inv_sigma) ** 2
-    else:
-        def log_prior(x):
-            return _log_prior(x, *prior)
+        return np.full(2, -_LOG_LIMIT), np.full(2, _LOG_LIMIT), to_logs
 
-    def logdensity(y):
-        return _log_conditional(np.exp(y), other, log_sum, n_tasks, log_prior, betaln) + y
+    def to_logs(x, y):
+        return x, y, np.logaddexp(x, y)
 
-    return logdensity
+    lo, hi = np.array([(math.log(p.value),) * 2 if p.kind == "fixed"
+                       else (-_LOG_LIMIT, _LOG_LIMIT) for p in (prior_a, prior_b)]).T
+    return lo, hi, to_logs
 
 
-def _slice_buffers(C, M):
-    """Scratch arrays of :func:`_slice_update` on chains x models points."""
-    return (np.empty((C, 3 + _SHRINK_PREDRAWN, M)), np.empty((_SHRINK_PREDRAWN, C, M)),
-            np.zeros((C, M)), np.empty((2, C, M), dtype=bool))
+def _log_posterior(Y, N, prior_a, prior_b, to_logs):
+    """One model's collapsed log density on a grid, up to a constant.
 
-
-def _slice_update(logdensity, y0, free, gens, models, param, buffers=None):
-    """One slice step of every free coordinate of ``y0`` (chains x models), in lockstep.
-
-    Each coordinate takes exactly the transition of :func:`slice_sample_step`
-    at width _SLICE_WIDTH and budget _SLICE_MAX_STEPOUT.  ``logdensity``
-    evaluates a whole array of points at once, so both stepping-out ends go
-    in one stacked call; masks applied with ``where=`` mark the coordinates
-    still stepping out or still shrinking.  A shrinkage rejection moves the
-    bracket by whether the proposal lies below the current point, never by
-    its density, so one stacked call evaluates all _SHRINK_PREDRAWN
-    predrawn proposals and each coordinate takes its first accepted one.
-    Chain c draws only from ``gens[c]``: one block per update holding each
-    coordinate's level, window offset, budget split and predrawn proposals,
-    then one uniform per round for each of its own coordinates still
-    pending.  Coordinates where the chains x models mask ``free`` is False
-    keep their value.  ``buffers`` from :func:`_slice_buffers` may be reused.
-
-    Returns the new points, the log-density evaluations that
-    :func:`slice_sample_step` would make for the same uniforms, and whether
-    either end stepped out through the whole of a non-zero share of the
-    budget, each per coordinate (zero where not free).
+    Returns ``density(x, y)``, the len(x) x len(y) values at the grid of the
+    two axes.  The alpha + beta terms depend on y alone when both
+    hyperparameters are free, so they cost one log-gamma value per distinct
+    test size and y.  A fixed prior contributes a constant and is left out.
     """
-    C, M = y0.shape
-    block, proposals, extra, side = _slice_buffers(C, M) if buffers is None else buffers
-    for c, gen in enumerate(gens):
-        gen.random(out=block[c])
-    u = block.transpose(1, 0, 2)
-    left = y0 - _SLICE_WIDTH * u[1]
-    # The current point and both window ends in one call: the ends' values
-    # do not depend on the level, which needs the current point's.
-    points = np.array([y0, left, left + _SLICE_WIDTH])
-    values = logdensity(points)
-    logp0, ends = values[0], points[1:]
-    bad = free & ~np.isfinite(logp0)
-    if np.count_nonzero(bad):
-        c, i = np.argwhere(bad)[0]
-        raise SliceSamplerError(
-            f"chain {c}, model {models[i]!r}, {param}: log density at the "
-            f"current point is not finite: {logp0[c, i]}",
-            diagnostics={"chain": int(c), "model": models[i], "parameter": param,
-                         "x0": float(y0[c, i]), "logp0": float(logp0[c, i])},
+    sizes, repeats = np.unique(N, return_counts=True)
+    n_tasks = Y.size
+
+    def side(log_x, counts, prior):
+        x = np.exp(log_x)
+        out = log_x + sum(_lgamma(x + c) for c in counts) - n_tasks * _lgamma(x)
+        if prior.kind != "fixed":
+            out += _log_prior(x, *prior.coefficients())
+        return out
+
+    def density(x, y):
+        log_a, log_b, log_total = to_logs(x[:, None], y[None, :])
+        total = np.exp(log_total)
+        joint = n_tasks * _lgamma(total)
+        for n, k in zip(sizes, repeats):
+            joint -= k * _lgamma(total + n)
+        return side(log_a, Y, prior_a) + side(log_b, N - Y, prior_b) + joint
+
+    return density
+
+
+def _relative(values, model):
+    """Log density values minus their peak; the peak must be finite."""
+    peak = values.max()
+    if not np.isfinite(peak):
+        raise ValidationError(
+            f"model {model!r}: log posterior density is not finite on the "
+            f"hyperparameter grid (peak {peak})"
         )
-    log_u = logp0 + np.log(u[0])
+    return values - peak
 
-    budget_left = np.floor(_SLICE_MAX_STEPOUT * u[2])
-    start = np.array([budget_left, _SLICE_MAX_STEPOUT - 1 - budget_left])
-    budget = start.copy()
-    stepping = free & (budget > 0) & (values[1:] > log_u)
-    while np.count_nonzero(stepping):
-        np.add(ends, _OUTWARD, out=ends, where=stepping)
-        np.subtract(budget, 1.0, out=budget, where=stepping)
-        np.logical_and(stepping, budget > 0, out=stepping)
-        np.logical_and(stepping, logdensity(ends) > log_u, out=stepping)
-    # Per side: one evaluation per step outward, plus the one that found the
-    # end off the slice unless its budget ran out first.
-    stepout_evals = (start - budget + (budget > 0)).sum(axis=0)
-    exhausted = ((start > 0) & (budget == 0)).any(axis=0)
 
-    # A rejected proposal x replaces the left end where x < y0, else the
-    # right: side[0] and side[1] mask the two rows of ``ends``.
-    left, right = ends
-    for r, x in enumerate(proposals):
-        np.subtract(right, left, out=x)
-        np.multiply(x, u[3 + r], out=x)
-        np.add(left, x, out=x)
-        np.less(x, y0, out=side[0])
-        np.logical_not(side[0], out=side[1])
-        np.copyto(ends, x, where=side)
-    accept = logdensity(proposals) >= log_u
-    np.logical_and(accept, free, out=accept)
-    first = accept.argmax(axis=0)
-    done = accept.any(axis=0)
-    y1 = np.where(done, first.choose(proposals), y0)
-    shrink_evals = first + 1.0
-    pending = free & ~done
-    for r in range(_SHRINK_PREDRAWN, _SHRINK_BUDGET):
-        if not np.count_nonzero(pending):
+def _axis(lo, hi, points):
+    """Grid points from lo to hi; one point where the axis is fixed (lo == hi)."""
+    return np.linspace(lo, hi, points if hi > lo else 1)
+
+
+def _posterior_grid(Y, N, prior_a, prior_b, model):
+    """The grid that :func:`fit_bhm` samples for one model.
+
+    Starting from the box of :func:`_coordinates`, each coarse round moves
+    every side of a free axis to one coarse step beyond the outermost cell
+    within _CUTOFF log units of the peak; a side whose outermost cell is
+    within grows by the box width, since a coarse grid can step over a
+    narrow part of the posterior.  The coarse rounds end when no side moves
+    by more than a step.  Each fine round then moves the box to
+    :func:`_mass_box` if that grows a side or halves an axis, or else
+    doubles the points of every axis whose step exceeds _RESOLUTION of its
+    conditional sd, up to _FINE_MAX.  The fine rounds end when none of that
+    applies.
+
+    Returns the two axes of cell centres, the cumulative cell masses in
+    row-major order, the share of the mass in the outermost cells of the
+    free axes, the box as (lo x, hi x, lo y, hi y), and the map from (x, y)
+    to log alpha and log beta.
+    """
+    lo, hi, to_logs = _coordinates(prior_a, prior_b)
+    density = _log_posterior(Y, N, prior_a, prior_b, to_logs)
+    for _ in range(_ROUNDS):
+        axes = [_axis(l, h, _COARSE) for l, h in zip(lo, hi)]
+        near = _relative(density(*axes), model) >= -_CUTOFF
+        new_lo, new_hi = lo.copy(), hi.copy()
+        for k, g in enumerate(axes):
+            if g.size > 1:
+                inside, width = np.flatnonzero(near.any(axis=1 - k)), hi[k] - lo[k]
+                first, last = inside[0], inside[-1]
+                new_lo[k] = max(lo[k] - width if first == 0 else g[first - 1], -_LOG_LIMIT)
+                new_hi[k] = min(hi[k] + width if last == g.size - 1 else g[last + 1], _LOG_LIMIT)
+        step = (hi - lo) / (_COARSE - 1)
+        settled = np.all(np.abs(new_lo - lo) <= step) and np.all(np.abs(new_hi - hi) <= step)
+        lo, hi = new_lo, new_hi
+        if settled:
             break
-        for c, gen in enumerate(gens):
-            n = np.count_nonzero(pending[c])
-            if n:
-                extra[c, pending[c]] = gen.random(n)
-        x = left + (right - left) * extra
-        accept = logdensity(x) >= log_u
-        np.logical_and(accept, pending, out=accept)
-        np.copyto(y1, x, where=accept)
-        np.copyto(shrink_evals, r + 1, where=accept)
-        np.logical_xor(pending, accept, out=pending)
-        np.less(x, y0, out=side[0])
-        np.logical_not(side[0], out=side[1])
-        np.copyto(ends, x, where=side)
-    if not np.count_nonzero(pending):
-        return y1, free * (1 + stepout_evals + shrink_evals).astype(np.int64), exhausted
-    c, i = np.argwhere(pending)[0]
-    raise SliceSamplerError(
-        f"chain {c}, model {models[i]!r}, {param}: no acceptable point after "
-        f"{_SHRINK_BUDGET} shrinkage steps",
-        diagnostics={"chain": int(c), "model": models[i], "parameter": param,
-                     "x0": float(y0[c, i]), "log_u": float(log_u[c, i]),
-                     "left": float(left[c, i]), "right": float(right[c, i]),
-                     "evaluations": _SHRINK_BUDGET + _SLICE_MAX_STEPOUT},
-    )
+    points = list(_FINE)
+    for _ in range(_ROUNDS):
+        axes = [_axis(l, h, n) for l, h, n in zip(lo, hi, points)]
+        mass = np.exp(_relative(density(*axes), model))
+        new_lo, new_hi = _mass_box(mass / mass.sum(), axes, lo, hi)
+        if np.any(new_lo < lo) or np.any(new_hi > hi) or np.any(new_hi - new_lo < (hi - lo) / 2):
+            lo, hi = new_lo, new_hi
+            continue
+        coarse = [k for k, g in enumerate(axes) if g.size > 1 and points[k] < _FINE_MAX
+                  and g[1] - g[0] > _RESOLUTION * _conditional_sd(mass, g, k)]
+        if not coarse:
+            break
+        for k in coarse:
+            points[k] = 2 * points[k] - 1
+    edge = np.ones(mass.shape, dtype=bool)
+    edge[tuple(slice(1, -1) if g.size > 1 else slice(None) for g in axes)] = False
+    cdf = np.cumsum(mass.ravel())
+    box = (float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]))
+    return axes, cdf, float(mass[edge].sum() / cdf[-1]), box, to_logs
 
 
-def _chains_x_models(priors: list[PriorSpec], chains: int):
-    """Initial values, free mask and prior coefficients as chains x models arrays.
+def _mass_box(mass, axes, lo, hi):
+    """The box leaving out at most _TAIL of the grid's mass on each side.
 
-    A fixed prior's coefficients are zeros; the free mask keeps it from moving.
+    A side whose outermost cells hold more than _GROW of the mass grows by
+    half the box width instead.  ``mass`` sums to 1.
     """
-    tile = (chains, 1)
-    coef = np.array([(0.0,) * 4 if p.kind == "fixed" else p.coefficients()
-                     for p in priors]).T
-    return (np.tile([p.initial_value() for p in priors], tile),
-            np.tile([p.kind != "fixed" for p in priors], tile),
-            tuple(np.tile(c, tile) for c in coef))
+    lo, hi = lo.copy(), hi.copy()
+    for k, g in enumerate(axes):
+        if g.size > 1:
+            marginal = mass.sum(axis=1 - k)
+            cum = np.cumsum(marginal)
+            first, last = np.searchsorted(cum, [_TAIL, 1.0 - _TAIL])
+            width = hi[k] - lo[k]
+            lo[k] = lo[k] - width / 2 if marginal[0] > _GROW else g[max(first - 1, 0)]
+            hi[k] = hi[k] + width / 2 if marginal[-1] > _GROW else g[min(last + 1, g.size - 1)]
+    return np.maximum(lo, -_LOG_LIMIT), np.minimum(hi, _LOG_LIMIT)
 
 
-def _run_chains(
-    table: EvalTable,
-    prior_pairs: list[tuple[PriorSpec, PriorSpec]],
-    config: McmcConfig,
-    theta_out: np.ndarray,
-    alpha_out: np.ndarray,
-    beta_out: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run every chain in lockstep into chains x kept x ... output arrays.
+def _conditional_sd(mass, axis, k):
+    """Mass-weighted harmonic mean of the sd of axis k given the other axis.
 
-    Returns each model's log-density evaluations per slice step and its
-    count of steps that used up a side's stepping-out budget.
+    ``mass`` holds the grid's cell masses, rows along axis 0.
     """
-    C = config.chains
-    gens = [_rng.substream(config.seed, _rng.CHAIN, c) for c in range(C)]
-    Y = table.counts
-    N = table.sizes
-    models = table.models
-    n_models, n_tasks = Y.shape
+    m = mass if k == 0 else mass.T
+    weight = m.sum(axis=0)
+    m, weight = m[:, weight > 0], weight[weight > 0]
+    mean = axis @ m / weight
+    var = ((axis[:, None] - mean) ** 2 * m).sum(axis=0) / weight
+    # A row with all its mass in one cell has var 0 and is unresolved.
+    precision = np.divide(weight, var, out=np.full_like(var, np.inf), where=var > 0)
+    return math.sqrt(weight.sum() / precision.sum())
 
-    theta0 = np.clip((Y + 0.5) / (N[None, :] + 1.0), _THETA_EPS, 1.0 - _THETA_EPS)
-    for i, (prior_a, prior_b) in enumerate(prior_pairs):
-        a0, b0 = prior_a.initial_value(), prior_b.initial_value()
-        finite_a = prior_a.kind == "fixed" or np.isfinite(
-            log_conditional_alpha(a0, b0, theta0[i], prior_a)
-        )
-        finite_b = prior_b.kind == "fixed" or np.isfinite(
-            log_conditional_beta(a0, b0, theta0[i], prior_b)
-        )
-        if not (finite_a and finite_b):
-            raise ValidationError(
-                f"model {models[i]!r}: log density not finite at "
-                f"initialization (alpha={a0}, beta={b0})"
-            )
 
-    alpha, free_a, prior_a = _chains_x_models([a for a, _ in prior_pairs], C)
-    beta, free_b, prior_b = _chains_x_models([b for _, b in prior_pairs], C)
-    log_alpha, log_beta = np.log(alpha), np.log(beta)
-    any_a, any_b = free_a.any(), free_b.any()
-
-    evals = np.zeros((C, n_models), dtype=np.int64)
-    exhausted = np.zeros((C, n_models), dtype=np.int64)
-    theta = np.empty((C, n_models, n_tasks))
-    # The densities read alpha, beta and the log sums, refilled in place.
-    log_sum_a, log_sum_b = np.empty((C, n_models)), np.empty((C, n_models))
-    density_a = _log_scale_density(beta, log_sum_a, n_tasks, prior_a)
-    density_b = _log_scale_density(alpha, log_sum_b, n_tasks, prior_b)
-    n_minus_y, buffers = np.subtract(N, Y), _slice_buffers(C, n_models)
-    kept = 0
-    for t in range(1, config.total_iterations + 1):
-        # gibbs_theta_update's draw, with every chain's Beta parameters at once.
-        post_a, post_b = alpha[:, :, None] + Y, beta[:, :, None] + n_minus_y
-        for c, gen in enumerate(gens):
-            theta[c] = gen.beta(post_a[c], post_b[c])
-        np.clip(theta, _THETA_EPS, 1.0 - _THETA_EPS, out=theta)
-
-        if any_a:
-            np.log(theta).sum(axis=2, out=log_sum_a)
-            log_alpha, n, out = _slice_update(density_a, log_alpha, free_a, gens, models,
-                                              "alpha", buffers)
-            np.exp(log_alpha, out=alpha, where=free_a)
-            evals += n
-            exhausted += out
-        if any_b:
-            np.log1p(-theta).sum(axis=2, out=log_sum_b)
-            log_beta, n, out = _slice_update(density_b, log_beta, free_b, gens, models,
-                                             "beta", buffers)
-            np.exp(log_beta, out=beta, where=free_b)
-            evals += n
-            exhausted += out
-
-        if t > config.burn_in and (t - config.burn_in) % config.thinning == 0:
-            theta_out[:, kept] = theta
-            alpha_out[:, kept] = alpha
-            beta_out[:, kept] = beta
-            kept += 1
-    steps = config.total_iterations * (free_a.sum(axis=0) + free_b.sum(axis=0))
-    evals_per_step = np.divide(evals.sum(axis=0), steps, out=np.zeros(n_models), where=steps > 0)
-    return evals_per_step, exhausted.sum(axis=0)
+def _jittered(axis, cells, u):
+    """Points uniform within their cells of ``axis``; a one-point axis stays put."""
+    if axis.size == 1:
+        return axis[cells]
+    return axis[cells] + (axis[1] - axis[0]) * (u - 0.5)
 
 
 def fit_bhm(
@@ -578,18 +558,21 @@ def fit_bhm(
 
     ``priors`` may be a single PriorSpec (both hyperparameters, all models),
     an (alpha_prior, beta_prior) tuple, or a mapping model -> pair; models
-    missing from a mapping get the default exponential hyperpriors.  All
-    chains advance together, one lockstep sweep per iteration over chains x
-    models arrays (theta, then every free alpha, then every free beta; see
-    the module docstring).  Each chain draws only from its own
-    chain-indexed substream, so a chain's draws do not depend on how many
+    missing from a mapping get the default exponential hyperpriors.  Each
+    model's collapsed posterior of its hyperparameters is put on a grid (see
+    the module docstring), and ``config`` sets only the number of
+    independent draws: chains x retained per chain.  Chain c draws from the
+    substream (seed, QUADRATURE, c): one block of uniforms choosing every
+    model's grid cells and jittering them along both axes, then the
+    conjugate theta draws.  So a chain's draws do not depend on how many
     chains run beside it.  Diagnostics per model: split-chain R-hat and
-    effective sample size of the mean theta trace, log-density evaluations
-    per slice step, and the count of slice steps whose stepping-out used a
-    whole side's budget.  A warning fires if any R-hat exceeds 1.05.
+    effective sample size of the mean theta trace, the share of grid mass in
+    the outermost cells (``edge_mass``), and the grid's ``box`` as (lo, hi)
+    of the logit mean and then of the log concentration, or of log alpha and
+    then log beta when either is fixed.  A warning fires if any R-hat
+    exceeds 1.05 or any edge mass exceeds 1e-6.
     """
     by_model = _normalize_priors(priors, table.models)
-    prior_pairs = [by_model[m] for m in table.models]
     K = config.retained_per_chain
     if K < 4:  # split_rhat and effective_sample_size need 4 per chain
         raise ValidationError(
@@ -597,11 +580,26 @@ def fit_bhm(
             f" // thinning {config.thinning} = {K} draws per chain; need K >= 4"
         )
     C = config.chains
-    n_models, n_tasks = table.counts.shape
+    Y, N = table.counts, table.sizes
+    n_models, n_tasks = Y.shape
+    grids = [_posterior_grid(Y[i], N, *by_model[m], m) for i, m in enumerate(table.models)]
+
     theta = np.empty((C, K, n_models, n_tasks))
     alpha = np.empty((C, K, n_models))
     beta = np.empty((C, K, n_models))
-    evals_per_step, exhausted = _run_chains(table, prior_pairs, config, theta, alpha, beta)
+    for c in range(C):
+        gen = _rng.substream(config.seed, _rng.QUADRATURE, c)
+        u = gen.random((3, K, n_models))
+        for i, ((axis_x, axis_y), cdf, _, _, to_logs) in enumerate(grids):
+            cells = np.searchsorted(cdf, u[0, :, i] * cdf[-1], side="right")
+            rows, cols = np.divmod(np.minimum(cells, cdf.size - 1), axis_y.size)
+            log_a, log_b, _ = to_logs(_jittered(axis_x, rows, u[1, :, i]),
+                                      _jittered(axis_y, cols, u[2, :, i]))
+            prior_a, prior_b = by_model[table.models[i]]
+            alpha[c, :, i] = prior_a.value if prior_a.kind == "fixed" else np.exp(log_a)
+            beta[c, :, i] = prior_b.value if prior_b.kind == "fixed" else np.exp(log_b)
+        theta[c] = gibbs_theta_update(Y, N, alpha[c, :, :, None], beta[c, :, :, None], gen)
+    np.clip(theta, _THETA_EPS, 1.0 - _THETA_EPS, out=theta)
     # Chain-major draws: draw s belongs to chain s // K.
     theta = theta.reshape(C * K, n_models, n_tasks)
     alpha = alpha.reshape(C * K, n_models)
@@ -609,21 +607,31 @@ def fit_bhm(
 
     mean_theta = theta.mean(axis=2)  # draws x models
     diagnostics = {}
-    worst = 0.0
     for i, model in enumerate(table.models):
         per_chain = mean_theta[:, i].reshape(C, K)
-        r = split_rhat(per_chain)
+        _, _, edge_mass, box, _ = grids[i]
         diagnostics[model] = {
-            "rhat": r,
+            "rhat": split_rhat(per_chain),
             "ess": effective_sample_size(per_chain),
-            "evals_per_step": float(evals_per_step[i]),
-            "stepout_exhausted": int(exhausted[i]),
+            "edge_mass": edge_mass,
+            "box": box,
         }
-        worst = max(worst, r) if np.isfinite(r) else worst
+    rhats = [d["rhat"] for d in diagnostics.values() if np.isfinite(d["rhat"])]
+    worst = max(rhats, default=0.0)
     if worst > RHAT_WARN_THRESHOLD:
         warn(
             f"split-chain R-hat up to {worst:.3f} exceeds {RHAT_WARN_THRESHOLD}; "
             "intervals may be unreliable — consider more iterations",
+            ConvergenceWarning,
+            stacklevel=2,
+        )
+    edge_model = max(diagnostics, key=lambda m: diagnostics[m]["edge_mass"])
+    edge_mass = diagnostics[edge_model]["edge_mass"]
+    if edge_mass > EDGE_MASS_WARN_THRESHOLD:
+        warn(
+            f"model {edge_model!r}: {edge_mass:.3g} of the posterior grid mass lies "
+            f"in its outermost cells, above {EDGE_MASS_WARN_THRESHOLD}; the "
+            "grid's box may cut off part of the posterior",
             ConvergenceWarning,
             stacklevel=2,
         )

@@ -119,18 +119,23 @@ def _add_bootstrap_args(p: _Parser) -> None:
 
 def _add_mcmc_args(p: _Parser) -> None:
     p.add_argument("--iterations", type=int, default=McmcConfig.total_iterations,
-                   help="MCMC iterations per chain (default: %(default)s)")
+                   help="with --burn-in, --thinning and --chains, sets only the "
+                        "BHM draw count, chains x ((iterations - burn-in) // "
+                        "thinning) (default: %(default)s)")
     p.add_argument("--burn-in", type=int, default=McmcConfig.burn_in,
-                   help="discarded initial iterations (default: %(default)s)")
+                   help="subtracted from --iterations in the draw count "
+                        "(default: %(default)s)")
     p.add_argument("--thinning", type=int, default=McmcConfig.thinning,
-                   help="keep every k-th draw (default: %(default)s)")
+                   help="divides the draw count per chain (default: %(default)s)")
     p.add_argument("--chains", type=int, default=McmcConfig.chains,
-                   help="independent chains (default: %(default)s)")
+                   help="draw streams, each of (iterations - burn-in) // thinning "
+                        "independent draws (default: %(default)s)")
     p.add_argument("--prior-rate", type=float, default=DEFAULT_PRIOR_RATE,
                    help="rate of the exponential hyperpriors "
                         "(default: %(default)s)")
     p.add_argument("--strict", action="store_true",
-                   help="treat convergence warnings as failures (exit 3)")
+                   help="treat convergence warnings (R-hat, grid edge mass) as "
+                        "failures (exit 3)")
 
 
 def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
@@ -210,7 +215,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--replicates", type=int, default=DEFAULT_REPLICATES,
                    help="bootstrap replicates B (default: %(default)s)")
     p.add_argument("--bootstrap-only", action="store_true",
-                   help="print only the bootstrap interval; no MCMC")
+                   help="print only the bootstrap interval; no BHM")
     _add_mcmc_args(p)
 
     return parser, subs

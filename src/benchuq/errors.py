@@ -52,4 +52,4 @@ class SliceSamplerError(BenchuqError):
 
 
 class ConvergenceWarning(UserWarning):
-    """MCMC diagnostics exceed their recommended thresholds."""
+    """BHM diagnostics (R-hat, grid edge mass) exceed their recommended thresholds."""

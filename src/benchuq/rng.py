@@ -4,7 +4,7 @@ Every stochastic component derives its generator from a master seed plus a
 small integer key, via numpy's ``SeedSequence`` spawn-key mechanism.  The
 derivation is frozen: stream ``(seed, purpose, *indices)`` always yields the
 same PCG64 state, independent of the order streams are created in.  This is
-what makes bootstrap replicates, MCMC chains, and rank-noise draws
+what makes bootstrap replicates, BHM draws, and rank-noise draws
 bit-reproducible whatever order they are evaluated in.
 
 Purpose constants (first key component):
@@ -12,17 +12,14 @@ Purpose constants (first key component):
 ====================  ===  ========================================
 BOOTSTRAP              0   one stream per block of 64 replicates, drawn
                            cell-major
-CHAIN                  1   one stream per MCMC chain; per sweep: the theta
-                           draw, then for alpha and then for beta (unless
-                           every model's prior on it is fixed) one block of
-                           uniforms (level, window offset, budget split and
-                           12 shrinkage proposals per model), plus one
-                           uniform per later shrinkage round of each model
-                           still pending
+(retired)              1   once one stream per MCMC chain
 RANK_NOISE             2   one stream per rank table, drawn sample-major
 (retired)              3   once count-synthesis jitter
 PREDICTIVE             4   posterior predictive draws
 (retired)              5   once synthetic test data
+QUADRATURE             6   one stream per BHM chain: one block of uniforms
+                           choosing every model's grid cells and jittering
+                           them, then the conjugate theta draws
 ====================  ===  ========================================
 
 Retired keys are never reused, and the others are never renumbered:
@@ -34,9 +31,9 @@ from __future__ import annotations
 import numpy as np
 
 BOOTSTRAP = 0
-CHAIN = 1
 RANK_NOISE = 2
 PREDICTIVE = 4
+QUADRATURE = 6
 
 _MASK64 = (1 << 64) - 1
 

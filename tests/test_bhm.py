@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -178,6 +177,16 @@ class TestLogConditionals:
             )
 
 
+class TestLgamma:
+    def test_matches_math_lgamma(self):
+        # Across the whole range the grid meets, and densely around the
+        # zeros of log Gamma at 1 and 2.
+        x = np.concatenate([np.geomspace(1e-4, 1e7, 20_001), np.linspace(0.5, 3.0, 2_001)])
+        expected = np.array([math.lgamma(v) for v in x])
+        error = np.abs(bhm._lgamma(x) - expected)
+        assert np.all(error <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+
+
 def chain_slice(logdensity, x0, n, seed, width=1.0, max_stepout=50):
     gen = substream(seed, 9)
     out = np.empty(n)
@@ -255,238 +264,6 @@ class TestSliceSampler:
         assert err.value.diagnostics["left"] <= 0.5 <= err.value.diagnostics["right"]
 
 
-def lockstep_density(scales):
-    """Normal log densities with one sd per model, on chains x models points."""
-    inv_var = 1.0 / np.asarray(scales, dtype=float) ** 2
-    return lambda y: -0.5 * y * y * inv_var
-
-
-class TestLockstepSliceUpdate:
-    class BlockStream:
-        """Serves slice_sample_step one model's share of the lockstep draws.
-
-        Per step: a block of level, offset, split and the predrawn
-        shrinkage proposals, then one fresh uniform per further proposal.
-        ``drawn`` counts the uniforms the current step used.
-        """
-
-        def __init__(self, gen):
-            self.gen = gen
-            self.queue = []
-            self.drawn = 0
-
-        def new_step(self):
-            self.queue = list(self.gen.random(3 + bhm._SHRINK_PREDRAWN))
-            self.drawn = 0
-            return self
-
-        def uniform(self):
-            self.drawn += 1
-            return self.queue.pop(0) if self.queue else self.gen.random()
-
-    @pytest.mark.parametrize("sd", [0.004, 0.3, 5.0])
-    def test_one_coordinate_per_chain_matches_scalar_step(self, sd):
-        # With one model, each chain must follow slice_sample_step exactly,
-        # evaluation counts included, when that is fed the same uniforms.
-        # The narrow sd forces rounds past the predrawn shrinkage proposals,
-        # 0.3 often accepts the first proposal, and 5.0 steps out several
-        # widths.
-        density = lockstep_density([sd])
-        inv_var = 1.0 / np.float64(sd) ** 2
-        scalar_evals = {"n": 0}
-
-        def scalar_density(x):
-            scalar_evals["n"] += 1
-            return -0.5 * x * x * inv_var
-
-        C, steps = 3, 300
-        gens = [substream(40, c) for c in range(C)]
-        refs = [self.BlockStream(substream(40, c)) for c in range(C)]
-        evals = 0
-        shrinks, stepouts = [], []
-        y = np.zeros((C, 1))
-        x = [0.0] * C
-        for _ in range(steps):
-            y, n, _ = bhm._slice_update(density, y, np.ones((C, 1), bool), gens, ("m",), "alpha")
-            evals += n.sum()
-            for c in range(C):
-                before = scalar_evals["n"]
-                x[c] = slice_sample_step(scalar_density, x[c], 1.0, 50, refs[c].new_step())
-                assert n[c, 0] == scalar_evals["n"] - before
-                shrinks.append(refs[c].drawn - 3)
-                stepouts.append(n[c, 0] - 1 - shrinks[-1])
-            assert y[:, 0].tolist() == x
-        assert evals == scalar_evals["n"]
-        if sd == 0.004:
-            assert max(shrinks) > bhm._SHRINK_PREDRAWN
-            assert evals > (3 + bhm._SHRINK_PREDRAWN) * C * steps / 2
-        elif sd == 0.3:
-            assert min(shrinks) == 1
-        else:
-            assert max(stepouts) >= 6
-
-    def test_mixed_first_accepted_proposals_match_per_coordinate_replay(self):
-        # One call in which some coordinates accept their first shrinkage
-        # proposal and others a later one, and the widest model steps out
-        # through its whole budget.  Each coordinate must match
-        # slice_sample_step fed its column of the chain's block of uniforms.
-        sds = np.array([0.02, 0.3, 1e4])
-        inv_var = 1.0 / sds**2
-        C, M = 3, sds.size
-        y0 = np.linspace(-0.4, 0.4, C * M).reshape(C, M) * sds
-        y1, evals, exhausted = bhm._slice_update(
-            lockstep_density(sds), y0, np.ones((C, M), bool),
-            [substream(45, c) for c in range(C)], ("a", "b", "c"), "beta")
-
-        shrinks = []
-        for c in range(C):
-            block = substream(45, c).random((3 + bhm._SHRINK_PREDRAWN, M))
-            for m in range(M):
-                def density(x):
-                    return -0.5 * x * x * inv_var[m]
-
-                calls = []
-
-                def counted(x):
-                    calls.append(x)
-                    return density(x)
-
-                stream = iter(block[:, m])
-                x1 = slice_sample_step(counted, y0[c, m], 1.0, 50,
-                                       SimpleNamespace(uniform=lambda: next(stream)))
-                assert y1[c, m] == x1
-                assert evals[c, m] == len(calls)
-                shrinks.append(block.shape[0] - len(list(stream)) - 3)
-
-                # Stepping-out replay: a side is exhausted when its budget
-                # is non-zero and every end it evaluates lies on the slice.
-                u0, u1, u2 = block[:3, m]
-                log_u = density(y0[c, m]) + math.log(u0)
-                left = y0[c, m] - u1
-                budget_left = math.floor(50 * u2)
-
-                def through(end, step, budget):
-                    for _ in range(budget):
-                        if not density(end) > log_u:
-                            return False
-                        end += step
-                    return budget > 0
-
-                assert exhausted[c, m] == (through(left, -1.0, budget_left)
-                                           or through(left + 1.0, 1.0, 49 - budget_left))
-        assert min(shrinks) == 1 and max(shrinks) > 1
-        assert exhausted[:, 2].all() and not exhausted[:, :2].any()
-
-    def test_matches_numerically_integrated_alpha_conditionals(self):
-        # A chains x models grid of alpha conditionals at fixed theta, each
-        # cell with its own beta, tasks and prior.
-        priors = (PriorSpec.exponential(1e-4), PriorSpec.exponential(0.5),
-                  PriorSpec.truncated_normal(40.0, 15.0))
-        thetas = (np.array([0.55, 0.6, 0.7]), np.array([0.2, 0.9]),
-                  np.array([0.8, 0.85, 0.9, 0.75]))
-        betas = np.array([[2.0, 1.0, 10.0], [30.0, 4.0, 5.0]])
-        C, M = betas.shape
-        n_tasks = np.array([t.size for t in thetas])
-        log_sum = np.array([np.log(t).sum() for t in thetas])
-        coef = tuple(np.array([p.coefficients() for p in priors]).T)
-        density = bhm._log_scale_density(betas, log_sum, n_tasks, coef)
-
-        steps = 6_000
-        gens = [substream(41, c) for c in range(C)]
-        y = np.zeros((C, M))
-        trace = np.empty((steps, C, M))
-        for k in range(steps):
-            y, _, _ = bhm._slice_update(density, y, np.ones((C, M), bool), gens,
-                                        ("m0", "m1", "m2"), "alpha")
-            trace[k] = y
-        trace = trace[200:]
-
-        for c in range(C):
-            for i in range(M):
-                def logp(v):
-                    a = math.exp(v)
-                    return log_conditional_alpha(a, betas[c, i], thetas[i], priors[i]) + v
-
-                coarse = np.linspace(-12.0, 14.0, 2_001)
-                lp = np.array([logp(v) for v in coarse])
-                inside = coarse[lp > lp.max() - 40.0]
-                grid = np.linspace(inside[0] - 0.1, inside[-1] + 0.1, 4_001)
-                dens = np.exp(np.array([logp(v) for v in grid]) - lp.max())
-                cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2)])
-                cdf /= cdf[-1]
-                mean = np.trapezoid(np.exp(grid) * dens, grid) / np.trapezoid(dens, grid)
-
-                draws = trace[:, c, i]
-                ess = effective_sample_size(draws.reshape(2, -1))
-                alpha = np.exp(draws)
-                se = alpha.std() / math.sqrt(ess)
-                assert abs(alpha.mean() - mean) < 4 * se, (c, i, alpha.mean(), mean, se)
-                for q in (0.05, 0.5, 0.95):
-                    exact = np.interp(q, cdf, grid)
-                    frac = np.mean(draws <= exact)
-                    assert abs(frac - q) < 4 * math.sqrt(q * (1 - q) / ess), (c, i, q, frac)
-
-    def test_fixed_coordinates_never_move(self):
-        C, M = 2, 3
-        free = np.tile([True, False, True], (C, 1))
-        gens = [substream(42, c) for c in range(C)]
-        y0 = np.full((C, M), 0.3)
-        y = y0
-        for _ in range(50):
-            y, evals, exhausted = bhm._slice_update(lockstep_density([1.0, 1.0, 1.0]), y,
-                                                    free, gens, ("a", "b", "c"), "beta")
-            assert not evals[:, 1].any() and not exhausted[:, 1].any()
-        assert np.array_equal(y[:, 1], y0[:, 1])
-        assert np.all(y[free] != y0[free])
-
-    def test_nonfinite_current_point_names_chain_model_and_parameter(self):
-        def density(y):
-            out = -0.5 * y * y
-            out[..., 1, 2] = np.nan
-            return out
-
-        gens = [substream(43, c) for c in range(2)]
-        with pytest.raises(SliceSamplerError, match="not finite") as err:
-            bhm._slice_update(density, np.zeros((2, 3)), np.ones((2, 3), bool), gens,
-                              ("a", "b", "c"), "beta")
-        diag = err.value.diagnostics
-        assert (diag["chain"], diag["model"], diag["parameter"]) == (1, "c", "beta")
-        assert "chain 1, model 'c', beta" in str(err.value)
-
-    def test_shrinkage_exhaustion_names_chain_model_and_parameter(self):
-        # Chain 0, model b turns -inf after its level is drawn (a numerically
-        # unstable density), so every proposal there is rejected; the other
-        # coordinates accept normally.
-        calls = {"n": 0}
-
-        def density(y):
-            calls["n"] += 1
-            out = -0.5 * y * y
-            if calls["n"] > 1:
-                out[..., 0, 1] = -np.inf
-            return out
-
-        gens = [substream(44, c) for c in range(2)]
-        y0 = np.full((2, 3), 0.25)
-        with pytest.raises(SliceSamplerError, match="shrinkage") as err:
-            bhm._slice_update(density, y0, np.ones((2, 3), bool), gens,
-                              ("a", "b", "c"), "alpha")
-        diag = err.value.diagnostics
-        assert (diag["chain"], diag["model"], diag["parameter"]) == (0, "b", "alpha")
-        assert diag["left"] <= 0.25 <= diag["right"]
-
-    def test_fit_reports_sampler_failure_with_model_name(self, monkeypatch):
-        make = bhm._log_scale_density
-
-        def broken(*args):
-            density = make(*args)
-            return lambda y: np.where(np.arange(y.shape[-1]) == 1, np.nan, density(y))
-
-        monkeypatch.setattr(bhm, "_log_scale_density", broken)
-        with pytest.raises(SliceSamplerError, match="model 'B', alpha"):
-            fit_bhm(tiny_table(), config=quick_config())
-
-
 class TestFitBhm:
     def test_draw_shapes_and_invariants(self):
         config = quick_config()
@@ -549,21 +326,42 @@ class TestFitBhm:
         assert np.all(draws.alpha[:, 0] == 3.0) and np.all(draws.beta[:, 1] == 5.0)
         assert np.ptp(draws.beta[:, 0]) > 0 and np.ptp(draws.alpha[:, 1]) > 0
 
-    def test_slice_work_diagnostics(self):
+    def test_grid_diagnostics(self):
         config = quick_config()
         priors = {"B": (PriorSpec.fixed(3.0), PriorSpec.fixed(5.0))}
         draws = fit_bhm(tiny_table(), priors=priors, config=config)
         again = fit_bhm(tiny_table(), priors=priors, config=config)
         assert draws.diagnostics == again.diagnostics
         free, pinned = draws.diagnostics["A"], draws.diagnostics["B"]
-        # logp0, at least one stepping-out end, and one shrinkage proposal.
-        assert free["evals_per_step"] >= 3.0
-        assert isinstance(free["stepout_exhausted"], int)
-        assert pinned["evals_per_step"] == 0.0 and pinned["stepout_exhausted"] == 0
+        assert 0.0 <= free["edge_mass"] <= bhm.EDGE_MASS_WARN_THRESHOLD
+        # With both free, the box is in (logit mean, log concentration), and
+        # every draw lies in it, give or take half a fine-grid step.
+        x = np.log(draws.alpha[:, 0] / draws.beta[:, 0])
+        y = np.log(draws.alpha[:, 0] + draws.beta[:, 0])
+        box = free["box"]
+        for k, values in enumerate((x, y)):
+            lo, hi = box[2 * k], box[2 * k + 1]
+            assert -bhm._LOG_LIMIT <= lo < hi <= bhm._LOG_LIMIT
+            half_step = (hi - lo) / (bhm._FINE[k] - 1) / 2
+            assert lo - half_step <= values.min() and values.max() <= hi + half_step
+        # Both fixed: one grid cell, no edge.
+        assert pinned["edge_mass"] == 0.0
+        assert pinned["box"] == (math.log(3.0), math.log(3.0), math.log(5.0), math.log(5.0))
+
+    def test_edge_mass_warning_fires_when_the_box_cuts_the_posterior(self, monkeypatch):
+        # Clamped to [-1, 1] on both grid axes, the box cannot reach the
+        # tiny table's posterior, whose mass then piles up on its edge.
+        monkeypatch.setattr(bhm, "_LOG_LIMIT", 1.0)
+        with pytest.warns(ConvergenceWarning, match="model 'B'.*outermost cells") as record:
+            draws = fit_bhm(tiny_table(), config=quick_config())
+        assert not any("R-hat" in str(w.message) for w in record)
+        for stats in draws.diagnostics.values():
+            assert stats["edge_mass"] > bhm.EDGE_MASS_WARN_THRESHOLD
+            assert stats["box"] == (-1.0, 1.0, -1.0, 1.0)
 
     def test_nonfinite_initial_density_names_model(self):
         priors = {"B": (PriorSpec.truncated_normal(1e300, 1e-300), PriorSpec.exponential())}
-        with pytest.raises(ValidationError, match="model 'B'.*initialization"):
+        with pytest.raises(ValidationError, match="model 'B'.*not finite"):
             with np.errstate(over="ignore"):
                 fit_bhm(tiny_table(), priors=priors, config=quick_config())
 

@@ -110,7 +110,7 @@ def test_too_few_retained_draws_fail_before_sampling(tmp_path, capsys, monkeypat
     def sampler(*args):
         raise AssertionError("the sampler ran")
 
-    monkeypatch.setattr(bhm_mod, "_run_chains", sampler)
+    monkeypatch.setattr(bhm_mod, "_posterior_grid", sampler)
     argv = ["bhm", "--out-dir", str(tmp_path / "out"),
             "--iterations", "3000", "--burn-in", "2990", "--thinning", "5"]
     assert run(argv) == EXIT_DATA
@@ -480,14 +480,16 @@ def test_bhm_subcommand_outputs(tmp_path, capsys):
     for stats in payload["diagnostics"].values():
         assert isinstance(stats["rhat"], float)
         assert isinstance(stats["ess"], float)
-        assert stats["evals_per_step"] >= 3.0
-        assert isinstance(stats["stepout_exhausted"], int)
+        assert 0.0 <= stats["edge_mass"] <= bhm_mod.EDGE_MASS_WARN_THRESHOLD
+        lo_a, hi_a, lo_b, hi_b = stats["box"]
+        assert lo_a < hi_a and lo_b < hi_b
 
 
 @pytest.mark.parametrize("strict", [True, False])
 @pytest.mark.parametrize("command", ["bhm", "report"])
 def test_strict_turns_convergence_warning_into_exit_3(tmp_path, capsys, command, strict):
-    # Ten iterations cannot converge: split-chain R-hat is far above 1.05.
+    # Eight draws per chain give a noisy split R-hat: at seed 0 some
+    # model's is above 1.05 on both commands.
     argv = [command, "--out-dir", str(tmp_path), "--iterations", "10",
             "--burn-in", "2", "--thinning", "1", "--seed", "0", "--formats", "json"]
     if command == "report":
@@ -560,8 +562,8 @@ def test_importing_the_cli_loads_no_scipy_stats():
 
 
 def test_importing_the_cli_loads_no_scipy_until_a_bhm_fit():
-    # scipy.special costs about a quarter second and 19 MiB at start-up;
-    # only the BHM uses it (for betaln), so it loads when a fit needs it.
+    # scipy.special costs about a third of a second and 15 MiB at start-up;
+    # the BHM computes its log-gamma values in numpy instead.
     code = (
         "import sys, warnings, benchuq, benchuq.cli\n"
         "loaded = [m for m in sys.modules if m.partition('.')[0] == 'scipy']\n"
@@ -571,10 +573,40 @@ def test_importing_the_cli_loads_no_scipy_until_a_bhm_fit():
         "config = McmcConfig(total_iterations=60, burn_in=20, thinning=1, chains=2)\n"
         "draws = fit_bhm(benchuq.cli.simulation_study_table(), config=config)\n"
         "assert draws.n_draws == 80, draws.n_draws\n"
+        "loaded = [m for m in sys.modules if m.partition('.')[0] == 'scipy']\n"
+        "assert not loaded, loaded\n"
     )
     result = subprocess.run([sys.executable, "-c", code], env=source_env(),
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_simstudy_process_imports_no_scipy(tmp_path):
+    # -X importtime reports every module the process imports on stderr.
+    argv = [sys.executable, "-X", "importtime", "-m", "benchuq.cli", "simstudy",
+            "--out-dir", str(tmp_path / "out")]
+    result = subprocess.run(argv, env=source_env(), capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == EXIT_OK, result.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "benchuq.bhm" in imported
+    assert not [m for m in imported if m.partition(".")[0] == "scipy"]
+
+
+def test_bhm_strict_accepts_weakly_identified_table(tmp_path, capsys):
+    # One model, three tasks of N = 1 all scored 0: the posterior of
+    # (alpha, beta) is a long banana, which the grid still covers.
+    tasks = tmp_path / "tasks.csv"
+    tasks.write_text("task,category,test_size\nt1,a,1\nt2,a,1\nt3,a,1\n")
+    evals = tmp_path / "counts.csv"
+    evals.write_text("model,task,correct\nsolo,t1,0\nsolo,t2,0\nsolo,t3,0\n")
+    out = tmp_path / "out"
+    argv = ["bhm", "--strict", "--eval", str(evals), "--tasks", str(tasks),
+            "--out-dir", str(out), "--formats", "json"]
+    assert run(argv) == EXIT_OK, capsys.readouterr().err
+    stats = json.loads((out / "bhm.json").read_text())["diagnostics"]["solo"]
+    assert stats["rhat"] <= 1.05 and stats["edge_mass"] <= bhm_mod.EDGE_MASS_WARN_THRESHOLD
 
 
 def test_cli_warnings_name_the_input_not_the_source(tmp_path):

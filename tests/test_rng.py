@@ -12,14 +12,14 @@ def test_same_key_reproduces_stream():
 
 def test_different_keys_give_different_streams():
     base = rng.substream(42, rng.BOOTSTRAP, 0).standard_normal(50)
-    for key in [(rng.BOOTSTRAP, 1), (rng.CHAIN, 0), (rng.RANK_NOISE, 0), (rng.BOOTSTRAP,)]:
+    for key in [(rng.BOOTSTRAP, 1), (rng.QUADRATURE, 0), (rng.RANK_NOISE, 0), (rng.BOOTSTRAP,)]:
         other = rng.substream(42, *key).standard_normal(50)
         assert not np.array_equal(base, other)
 
 
 def test_different_seeds_give_different_streams():
-    a = rng.substream(1, rng.CHAIN, 0).standard_normal(50)
-    b = rng.substream(2, rng.CHAIN, 0).standard_normal(50)
+    a = rng.substream(1, rng.QUADRATURE, 0).standard_normal(50)
+    b = rng.substream(2, rng.QUADRATURE, 0).standard_normal(50)
     assert not np.array_equal(a, b)
 
 
@@ -33,14 +33,14 @@ def test_substream_matches_seedsequence_construction():
 
 
 def test_purpose_constants_are_distinct():
-    # Keys 3 and 5 are retired; renumbering the rest would move every stream.
-    purposes = [rng.BOOTSTRAP, rng.CHAIN, rng.RANK_NOISE, rng.PREDICTIVE]
-    assert purposes == [0, 1, 2, 4]
+    # Keys 1, 3 and 5 are retired; renumbering the rest would move every stream.
+    purposes = [rng.BOOTSTRAP, rng.RANK_NOISE, rng.PREDICTIVE, rng.QUADRATURE]
+    assert purposes == [0, 2, 4, 6]
 
 
 def test_large_seed_is_wrapped_not_rejected():
-    gen = rng.substream(2**70 + 3, rng.CHAIN, 0)
-    same = rng.substream((2**70 + 3) & ((1 << 64) - 1), rng.CHAIN, 0)
+    gen = rng.substream(2**70 + 3, rng.QUADRATURE, 0)
+    same = rng.substream((2**70 + 3) & ((1 << 64) - 1), rng.QUADRATURE, 0)
     assert np.array_equal(gen.standard_normal(8), same.standard_normal(8))
 
 
