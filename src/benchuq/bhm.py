@@ -168,9 +168,6 @@ class PriorSpec:
             return -math.inf
         return float(_log_prior(x, *self.coefficients()))
 
-    def initial_value(self) -> float:
-        return self.value if self.kind == "fixed" else 2.0
-
 
 @dataclass(frozen=True)
 class McmcConfig:

@@ -39,10 +39,10 @@ from .bootstrap import (
 from .core import EvalTable, TaskSpec, load_eval_table, validate_consistency
 from .errors import BenchuqError, ConvergenceWarning, ValidationError
 from .fixtures import load_vtab, published_means_from_csv, vtab_published_means
-# normalize_scores is not called here; it stays a name on this module because
-# perfbench/trace_cli.py wraps it beside the other layer entry points.
+# Kept for the tracer: perfbench/trace_cli.py wraps normalize_scores and
+# rank_intervals beside the other layer entry points; nothing here calls them.
 from .normalize import estimate_bounds, normalize_scores  # noqa: F401
-from .ranking import RankScheme, rank_intervals
+from .ranking import RankScheme, rank_intervals, rank_tables  # noqa: F401
 from .viz import render_ternary
 from .weighting import INDETERMINATE, simplex_scan
 
@@ -359,31 +359,18 @@ def _leaderboard_order(models, estimates) -> list[str]:
 
 def _rank_sections(store, bounds, schemes, level, normalized):
     """Rank tables per scheme, for raw and (optionally) normalized scores."""
-    sections = {"raw": {}}
-    for scheme in schemes:
-        sections["raw"][scheme.value] = rank_intervals(store, scheme, level=level)
+    sections = {"raw": rank_tables(store, schemes, level)}
     if normalized:
-        # The replicate array (a view) rather than the store, so that a
-        # tracer can tell these calls from the raw ones by their argument.
-        sections["normalized"] = {}
-        for scheme in schemes:
-            sections["normalized"][scheme.value] = rank_intervals(
-                store.replicates, scheme, level=level, models=store.source.models,
-                seed=store.seed, method="bootstrap-percentile", normalizer=bounds,
-            )
+        sections["normalized"] = rank_tables(store, schemes, level, normalizer=bounds)
     return sections
 
 
 def _rank_table_files(out_dir, sections, formats):
     written = []
-    scheme_order = [s.value for s in ALL_SCHEMES]
     for section, by_scheme in sections.items():
-        columns = [s for s in scheme_order if s in by_scheme]
-        models = [summary.model for summary in by_scheme[columns[0]]]
-        rows = []
-        for i, model in enumerate(models):
-            cells = {c: by_scheme[c][i].interval for c in columns}
-            rows.append((model, cells))
+        columns = list(by_scheme)  # rank_tables keeps the schemes' order
+        rows = [(first.model, {c: by_scheme[c][i].interval for c in columns})
+                for i, first in enumerate(by_scheme[columns[0]])]
         written += _emit_tables(out_dir, f"ranks_{section}", rows, columns,
                                 formats, scale=1.0)
     return written

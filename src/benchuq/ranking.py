@@ -23,6 +23,7 @@ standard normal noise on the fraction scale would drown the signal entirely.
 from __future__ import annotations
 
 import enum
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -37,12 +38,13 @@ __all__ = [
     "RankScheme",
     "RankSummary",
     "rank_intervals",
+    "rank_tables",
 ]
 
-# rank_intervals ranks this many (sample, model, task) cells at a time, in
-# one _Workspace that every block reuses, so it needs no allocator setting to
-# run at full speed.  At 512 KiB each its buffers stay in cache: on a 64 x 57
-# table, blocks of 2**18 cells ranked at half the speed.
+# rank_tables ranks this many (sample, model, task) cells at a time, in one
+# _Workspace that every block and scheme reuses, so it needs no allocator
+# setting to run at full speed.  At 512 KiB each its buffers stay in cache:
+# on a 64 x 57 table, blocks of 2**18 cells ranked at half the speed.
 _BLOCK_CELLS = 1 << 16
 
 # The noise sd of AverageRankNoise and the bin width of AverageRankBinned, in
@@ -142,6 +144,94 @@ def _block_ranks(block, scheme, ws, gen):
     return _descending_ranks(percent, ws, axis=1).mean(axis=2), 0
 
 
+def _warn_caller(message):
+    """Warn for the nearest caller outside this module, however deep the call."""
+    level, frame = 2, sys._getframe(1)
+    while frame.f_globals.get("__name__") == __name__:
+        level, frame = level + 1, frame.f_back
+    warnings.warn(message, stacklevel=level)
+
+
+def rank_tables(
+    samples,
+    schemes,
+    level: float = DISPLAY_LEVEL,
+    seed: int | None = None,
+    models=None,
+    method: str | None = None,
+    normalizer: NormalizationBounds | None = None,
+) -> dict[str, list[RankSummary]]:
+    """Apply each of ``schemes`` to every sample and summarize per model.
+
+    Returns ``{scheme value: [RankSummary per model]}`` in scheme order.
+    ``samples`` is a bootstrap ReplicateStore or a samples x models x tasks
+    array (e.g. posterior-predictive accuracies — tagged accordingly).  One
+    pass over the samples ranks every scheme, and with ``normalizer`` each
+    block goes through :func:`~benchuq.normalize.normalize_scores` against
+    those fixed bounds once; one warning per call counts the values clamped
+    into [0, 1].  The noise variant adds normal noise of sd 1 percentage
+    point: sample s of M x T cells takes normals [s*M*T, (s+1)*M*T) of the
+    RANK_NOISE substream of ``seed`` (default: the store's seed, else 0)
+    whatever the sample count, block size or other schemes, so raw and
+    normalized tables share it.  Binned bins are 1 percentage point wide.
+    """
+    schemes = [RankScheme(scheme) for scheme in schemes]
+    if isinstance(samples, ReplicateStore):
+        values = samples.replicates
+        models = samples.source.models if models is None else models
+        seed = samples.seed if seed is None else seed
+        method = "bootstrap-percentile" if method is None else method
+    else:
+        values = np.asarray(samples, dtype=float)
+        if values.ndim != 3:
+            raise ValidationError("expected a samples x models x tasks array")
+        if models is None:
+            models = tuple(f"model_{i}" for i in range(values.shape[1]))
+        seed = 0 if seed is None else seed
+        method = "bhm-posterior-predictive" if method is None else method
+    n_samples, n_models, n_tasks = values.shape
+    if n_samples < 2:
+        raise ValidationError("need at least 2 samples for rank intervals")
+    if len(models) != n_models:
+        raise ValidationError(f"{len(models)} names for {n_models} models")
+
+    step = max(1, _BLOCK_CELLS // max(1, n_models * n_tasks))
+    # Models x samples per scheme, so one quantile call along the last axis
+    # gives every model's interval.
+    ranks = {scheme: np.empty((n_models, n_samples)) for scheme in schemes}
+    ws = _Workspace(min(n_samples, step) * n_models * max(1, n_tasks))
+    gen = _rng.substream(seed, _rng.RANK_NOISE)
+    n_zero = n_outside = 0
+    for lo in range(0, n_samples, step):
+        block = values[lo : lo + step]
+        if normalizer is not None:
+            block, outside = _clamped_scores(block, normalizer)
+            n_outside += outside
+        # Each scheme once per block, so the noise scheme draws its normals once.
+        for scheme, scheme_ranks in ranks.items():
+            block_ranks, zeros = _block_ranks(block, scheme, ws, gen)
+            scheme_ranks[:, lo : lo + len(block)] = block_ranks.T
+            n_zero += zeros
+    if n_outside:
+        _warn_caller(CLAMP_WARNING.format(n_outside))
+    if n_zero:
+        _warn_caller(
+            f"{n_zero} (sample, model) pair(s) have a zero accuracy; their "
+            "geometric mean is 0 and they rank last"
+        )
+
+    tables = {}
+    for scheme, scheme_ranks in ranks.items():
+        lower, upper = percentile_interval(scheme_ranks, level)
+        tables[scheme.value] = [
+            RankSummary(model, scheme, point, IntervalEstimate(
+                point, float(low), float(high), level, method))
+            for model, point, low, high in zip(
+                models, (float(r.mean()) for r in scheme_ranks), lower, upper)
+        ]
+    return tables
+
+
 def rank_intervals(
     samples,
     scheme: RankScheme | str,
@@ -151,84 +241,7 @@ def rank_intervals(
     method: str | None = None,
     normalizer: NormalizationBounds | None = None,
 ) -> list[RankSummary]:
-    """Apply a rank scheme to every sample and summarize per model.
-
-    ``samples`` is a bootstrap ReplicateStore or a samples x models x tasks
-    array (e.g. posterior-predictive accuracies — tagged accordingly).  With
-    ``normalizer``, each block of samples goes through
-    :func:`~benchuq.normalize.normalize_scores` against those fixed bounds
-    just before it is ranked, so the ranks equal those of the normalized
-    samples without a normalized copy of them; one warning per call counts
-    the values clamped into [0, 1].  The noise variant adds normal noise of
-    sd 1 percentage point: sample s of M x T cells takes normals [s*M*T,
-    (s+1)*M*T) of the RANK_NOISE substream of ``seed`` (default: the store's
-    seed, else 0) whatever the sample count or block size, so raw and
-    normalized tables share it.  Binned bins are 1 percentage point wide.
-    Each call ranks its blocks in one workspace of block-sized buffers, so
-    no allocator setting is needed.
-    """
+    """One scheme's rows of :func:`rank_tables`, warning for this function's caller."""
     scheme = RankScheme(scheme)
-    if isinstance(samples, ReplicateStore):
-        values = samples.replicates
-        if models is None:
-            models = samples.source.models
-        if seed is None:
-            seed = samples.seed
-        if method is None:
-            method = "bootstrap-percentile"
-    else:
-        values = np.asarray(samples, dtype=float)
-        if values.ndim != 3:
-            raise ValidationError("expected a samples x models x tasks array")
-        if models is None:
-            models = tuple(f"model_{i}" for i in range(values.shape[1]))
-        if seed is None:
-            seed = 0
-        if method is None:
-            method = "bhm-posterior-predictive"
-    n_samples, n_models, n_tasks = values.shape
-    if n_samples < 2:
-        raise ValidationError("need at least 2 samples for rank intervals")
-    if len(models) != n_models:
-        raise ValidationError(f"{len(models)} names for {n_models} models")
-
-    step = max(1, _BLOCK_CELLS // max(1, n_models * n_tasks))
-    # Models x samples, so one quantile call along the last axis gives every
-    # model's interval.
-    ranks = np.empty((n_models, n_samples))
-    ws = _Workspace(min(n_samples, step) * n_models * max(1, n_tasks))
-    gen = _rng.substream(seed, _rng.RANK_NOISE)
-    n_zero = n_outside = 0
-    for lo in range(0, n_samples, step):
-        block = values[lo : lo + step]
-        if normalizer is not None:
-            block, outside = _clamped_scores(block, normalizer)
-            n_outside += outside
-        block_ranks, zeros = _block_ranks(block, scheme, ws, gen)
-        ranks[:, lo : lo + len(block)] = block_ranks.T
-        n_zero += zeros
-    if n_outside:
-        warnings.warn(CLAMP_WARNING.format(n_outside), stacklevel=2)
-    if n_zero:
-        warnings.warn(
-            f"{n_zero} (sample, model) pair(s) have a zero accuracy; their "
-            "geometric mean is 0 and they rank last",
-            stacklevel=2,
-        )
-
-    lower, upper = percentile_interval(ranks, level)
-    out = []
-    for i, model in enumerate(models):
-        interval = IntervalEstimate(
-            point=float(ranks[i].mean()),
-            lower=float(lower[i]),
-            upper=float(upper[i]),
-            level=level,
-            method=method,
-        )
-        out.append(
-            RankSummary(
-                model=model, scheme=scheme, point=interval.point, interval=interval
-            )
-        )
-    return out
+    tables = rank_tables(samples, (scheme,), level, seed, models, method, normalizer)
+    return tables[scheme.value]

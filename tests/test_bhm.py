@@ -84,7 +84,6 @@ class TestPriorSpec:
             prior.log_density(7.0)
         with pytest.raises(ValidationError, match="fixed"):
             log_conditional_alpha(7.0, 2.0, [0.5], prior)
-        assert prior.initial_value() == 7.0
 
     @pytest.mark.parametrize(
         "bad",

@@ -21,6 +21,7 @@ import pytest
 import benchuq
 import benchuq.bhm as bhm_mod
 import benchuq.cli as cli
+import benchuq.ranking as ranking_mod
 from benchuq.bhm import DEFAULT_PRIOR_RATE, McmcConfig
 from benchuq.bootstrap import run_bootstrap
 from benchuq.errors import ConvergenceWarning
@@ -344,6 +345,22 @@ def test_ranks_all_schemes_normalized(tmp_path):
     assert header.startswith("| Model | by-average |")
 
 
+def test_ranks_noise_rows_do_not_depend_on_the_other_schemes(tmp_path):
+    # Every scheme of a section is ranked in one pass that draws the noise
+    # once per block; ranking the noise scheme alone draws the same normals.
+    payloads = []
+    for name, extra in (("all", []), ("noise", ["--scheme", "average-rank-noise"])):
+        out = tmp_path / name
+        argv = ["ranks", *FAST_BOOT, "--normalized", "--formats", "json",
+                "--out-dir", str(out), *extra]
+        assert run(argv) == EXIT_OK
+        payloads.append(json.loads((out / "ranks.json").read_text())["ranks"])
+    every, alone = payloads
+    for section in ("raw", "normalized"):
+        assert alone[section] == {
+            "average-rank-noise": every[section]["average-rank-noise"]}
+
+
 def test_simplex_default_settings(tmp_path, capsys):
     out = tmp_path / "out"
     argv = ["simplex", "--out-dir", str(out), "--grid-step", "0.2"]
@@ -643,6 +660,25 @@ def test_normalized_rank_tables_hold_no_copy_of_the_store():
         tracemalloc.stop()
     assert len(sections["normalized"]) == len(cli.ALL_SCHEMES)
     assert peak < store.replicates.nbytes
+
+
+def test_normalized_rank_section_normalizes_each_block_once(monkeypatch):
+    store = run_bootstrap(benchuq.load_vtab(), B=1000, seed=0)
+    bounds = estimate_bounds(store)
+    clamped = ranking_mod._clamped_scores
+    rows = []
+
+    def counted(block, bounds):
+        rows.append(len(block))
+        return clamped(block, bounds)
+
+    monkeypatch.setattr(ranking_mod, "_clamped_scores", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        cli._rank_sections(store, bounds, cli.ALL_SCHEMES, cli.RANK_LEVEL, True)
+    step = ranking_mod._BLOCK_CELLS // store.replicates[0].size
+    assert len(rows) == -(-store.n_replicates // step) > 1
+    assert sum(rows) == store.n_replicates
 
 
 def test_simplex_frees_the_store_before_its_scans(tmp_path, monkeypatch):

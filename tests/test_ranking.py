@@ -21,7 +21,7 @@ from benchuq.core import EvalTable, TaskSpec
 from benchuq.errors import ValidationError
 from benchuq.fixtures import load_vtab
 from benchuq.normalize import estimate_bounds, normalize_scores
-from benchuq.ranking import RankScheme, _descending_ranks, rank_intervals
+from benchuq.ranking import RankScheme, _descending_ranks, rank_intervals, rank_tables
 
 
 def small_table():
@@ -343,6 +343,12 @@ def test_rank_intervals_equal_per_sample_reference_across_blocks():
     store = run_bootstrap(table, B=n_samples, seed=3)
     bounds = estimate_bounds(store)
     normalized = normalize_scores(store.replicates, bounds)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        # All five schemes in one pass, each block normalized once.
+        raw_tables = rank_tables(store, RankScheme)
+        norm_tables = rank_tables(store, RankScheme, normalizer=bounds)
+    assert list(raw_tables) == list(norm_tables) == [s.value for s in RankScheme]
     for scheme in RankScheme:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
@@ -356,6 +362,8 @@ def test_rank_intervals_equal_per_sample_reference_across_blocks():
         assert _summary_rows(raw) == expected_raw, scheme
         assert _summary_rows(norm) == expected_norm, scheme
         assert fused == norm, scheme
+        assert raw_tables[scheme.value] == raw, scheme
+        assert _summary_rows(norm_tables[scheme.value]) == expected_norm, scheme
 
 
 def test_rank_intervals_geometric_mean_zero_cells_warn_once():
@@ -387,3 +395,10 @@ def test_rank_intervals_clamp_warning_counts_every_block_once():
     assert len(record) == 1
     assert str(record[0].message) == str(whole[0].message)
     assert record[0].filename == __file__
+    # Five schemes over the same blocks still clamp, and warn, once.
+    with pytest.warns(UserWarning, match="clamped") as record:
+        rank_tables(store, RankScheme, normalizer=bounds)
+    clamp_warnings = [w for w in record if "clamped" in str(w.message)]
+    assert len(clamp_warnings) == 1
+    assert str(clamp_warnings[0].message) == str(whole[0].message)
+    assert clamp_warnings[0].filename == __file__

@@ -45,8 +45,8 @@ def seed_margins(seed, acc):
     from benchuq.bootstrap import (aggregate_interval, pairwise_difference_intervals,
                                    run_bootstrap)
     from benchuq.fixtures import load_vtab
-    from benchuq.normalize import estimate_bounds, normalize_scores
-    from benchuq.ranking import RankScheme, rank_intervals
+    from benchuq.normalize import estimate_bounds
+    from benchuq.ranking import RankScheme, rank_tables
 
     table = load_vtab()
     store = run_bootstrap(table, B=10_000, seed=seed)
@@ -74,16 +74,11 @@ def seed_margins(seed, acc):
 
     schemes = (RankScheme.BY_AVERAGE, RankScheme.AVERAGE_RANK,
                RankScheme.AVERAGE_RANK_NOISE, RankScheme.AVERAGE_RANK_BINNED)
-    samples = normalize_scores(store.replicates, bounds)
     columns = {
-        "raw": {s.value: {r.model: r.interval
-                          for r in rank_intervals(store, s, level=0.95)}
-                for s in schemes},
-        "normalized": {s.value: {r.model: r.interval
-                                 for r in rank_intervals(
-                                     samples, s, level=0.95, models=table.models,
-                                     seed=seed, method="bootstrap-percentile")}
-                       for s in schemes},
+        section: {scheme: {r.model: r.interval for r in rows}
+                  for scheme, rows in rank_tables(store, schemes, level=0.95,
+                                                  normalizer=normalizer).items()}
+        for section, normalizer in (("raw", None), ("normalized", bounds))
     }
     for section, exact in (("raw", acc.RAW_BY_AVG_EXACT),
                            ("normalized", acc.NORM_BY_AVG_EXACT)):
