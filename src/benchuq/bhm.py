@@ -36,7 +36,7 @@ from warnings import warn
 import numpy as np
 
 from . import rng as _rng
-from .bootstrap import IntervalEstimate, percentile_interval
+from .bootstrap import IntervalEstimate, bonferroni_level, summarize_draws
 from .core import EvalTable
 from .errors import ConvergenceWarning, SliceSamplerError, ValidationError
 from .weighting import UNWEIGHTED, WeightVector, resolve_task_weights
@@ -49,8 +49,6 @@ __all__ = [
     "McmcConfig",
     "PosteriorDraws",
     "gibbs_theta_update",
-    "log_conditional_alpha",
-    "log_conditional_beta",
     "slice_sample_step",
     "fit_bhm",
     "credible_interval",
@@ -161,12 +159,6 @@ class PriorSpec:
         if self.kind == "truncated_normal":
             return (0.0, 0.0, self.mu, 1.0 / self.sigma)
         raise ValidationError("fixed priors have no density to evaluate")
-
-    def log_density(self, x: float) -> float:
-        """Log prior density at x, up to an additive constant; -inf off support."""
-        if x <= 0:
-            return -math.inf
-        return float(_log_prior(x, *self.coefficients()))
 
 
 @dataclass(frozen=True)
@@ -280,32 +272,6 @@ def _lgamma(x):
             product *= x + k
         out -= np.log(product)
     return out
-
-
-def _scalar_conditional(x, other, log_terms, prior) -> float:
-    """log prior(x) + (x - 1) sum(log_terms) - J log B(x, other), J = len(log_terms)."""
-    betaln = math.lgamma(x) + math.lgamma(other) - math.lgamma(x + other)
-    log_sum = float(np.sum(log_terms))
-    return prior.log_density(x) + (x - 1.0) * log_sum - np.size(log_terms) * betaln
-
-
-def log_conditional_alpha(alpha: float, beta: float, thetas, prior: PriorSpec) -> float:
-    """Log full conditional of one model's alpha, up to a constant.
-
-    log p(alpha | ...) = log prior(alpha) + (alpha - 1) sum_j log theta_j
-                         - J log B(alpha, beta);
-    returns -inf for alpha <= 0.
-    """
-    if alpha <= 0:
-        return -math.inf
-    return _scalar_conditional(alpha, beta, np.log(np.asarray(thetas, dtype=float)), prior)
-
-
-def log_conditional_beta(alpha: float, beta: float, thetas, prior: PriorSpec) -> float:
-    """Symmetric counterpart of log_conditional_alpha, driven by log(1 - theta)."""
-    if beta <= 0:
-        return -math.inf
-    return _scalar_conditional(beta, alpha, np.log1p(-np.asarray(thetas, dtype=float)), prior)
 
 
 def slice_sample_step(
@@ -654,28 +620,16 @@ def credible_interval(
     """Equal-tailed credible interval for a weighted mean of thetas.
 
     The functional is the weighted across-task mean of theta for ``model``,
-    minus the same functional of ``other`` when given.  ``comparisons``
-    applies a Bonferroni adjustment: the interval is computed at level
-    1 - (1 - level)/comparisons.  The point estimate is the posterior mean.
+    minus the same functional of ``other`` when given.  Its draws are
+    summarized by :func:`~benchuq.bootstrap.summarize_draws` at the
+    :func:`~benchuq.bootstrap.bonferroni_level` of ``comparisons``.
     """
-    if comparisons < 1:
-        raise ValidationError(f"comparisons must be >= 1, got {comparisons}")
+    adjusted = bonferroni_level(level, comparisons)
     w = resolve_task_weights(weights, draws.tasks)
     series = draws.theta[:, draws.model_index(model), :] @ w
     if other is not None:
         series = series - draws.theta[:, draws.model_index(other), :] @ w
-    adjusted = 1.0 - (1.0 - level) / comparisons
-    if np.ptp(series) == 0.0:
-        point = float(series[0])
-        return IntervalEstimate(point, point, point, adjusted, "bhm-credible")
-    lower, upper = percentile_interval(series, adjusted)
-    return IntervalEstimate(
-        point=float(series.mean()),
-        lower=lower,
-        upper=upper,
-        level=adjusted,
-        method="bhm-credible",
-    )
+    return summarize_draws(series[None, :], adjusted, "bhm-credible")[0]
 
 
 def posterior_predictive(

@@ -32,6 +32,8 @@ __all__ = [
     "ReplicateStore",
     "run_bootstrap",
     "percentile_interval",
+    "bonferroni_level",
+    "summarize_draws",
     "aggregate_interval",
     "pairwise_difference_intervals",
 ]
@@ -217,6 +219,28 @@ def percentile_interval(samples, level: float):
     return lower, upper
 
 
+def bonferroni_level(level: float, comparisons: int) -> float:
+    """Per-comparison level 1 - (1 - level)/comparisons (Bonferroni)."""
+    if comparisons < 1:
+        raise ValidationError(f"comparisons must be >= 1, got {comparisons}")
+    return 1.0 - (1.0 - level) / comparisons
+
+
+def summarize_draws(rows, level: float, method: str) -> list[IntervalEstimate]:
+    """One interval per row of a rows x draws array.
+
+    Each row gives its mean as the point and its :func:`percentile_interval`
+    at ``level``.  A constant row reports its value as the point and as
+    both ends, where its mean could round away from the value.
+    """
+    rows = np.asarray(rows, dtype=float)
+    lower, upper = percentile_interval(rows, level)
+    constant = rows.min(axis=-1) == rows.max(axis=-1)
+    points = np.where(constant, rows[:, 0], rows.mean(axis=-1))
+    return [IntervalEstimate(float(point), float(low), float(high), level, method)
+            for point, low, high in zip(points, lower, upper)]
+
+
 def _replicate_statistics(
     store: ReplicateStore,
     model: str,
@@ -240,17 +264,10 @@ def aggregate_interval(
 
     Per replicate: optionally normalize per-task scores against the fixed
     ``normalizer`` bounds, then take the weighted mean across tasks.  The
-    point estimate is the mean of the replicate statistics.
+    replicate statistics are summarized by :func:`summarize_draws`.
     """
     stats = _replicate_statistics(store, model, weights, normalizer)
-    lower, upper = percentile_interval(stats, level)
-    return IntervalEstimate(
-        point=float(stats.mean()),
-        lower=lower,
-        upper=upper,
-        level=level,
-        method="bootstrap-percentile",
-    )
+    return summarize_draws(stats[None, :], level, "bootstrap-percentile")[0]
 
 
 def pairwise_difference_intervals(
@@ -264,8 +281,9 @@ def pairwise_difference_intervals(
     """Bonferroni-adjusted percentile intervals for score differences.
 
     For each unordered pair (A, B) of the listed models, the per-replicate
-    difference of aggregate scores is summarized at the adjusted level
-    ``1 - (1 - level)/m`` where m defaults to the number of pairs.
+    difference of aggregate scores is summarized by :func:`summarize_draws`
+    at the :func:`bonferroni_level` of m comparisons, where m defaults to
+    the number of pairs.
     """
     models = list(models)
     if len(models) < 2:
@@ -276,21 +294,10 @@ def pairwise_difference_intervals(
         raise ValidationError(
             f"comparison budget m={m} is below the {len(pairs)} listed pairs"
         )
-    adjusted = 1.0 - (1.0 - level) / m
     stats = {
         model: _replicate_statistics(store, model, weights, normalizer)
         for model in set(models)
     }
-    results = []
-    for a, b in pairs:
-        diffs = stats[a] - stats[b]
-        lower, upper = percentile_interval(diffs, adjusted)
-        estimate = IntervalEstimate(
-            point=float(diffs.mean()),
-            lower=lower,
-            upper=upper,
-            level=adjusted,
-            method="bootstrap-percentile",
-        )
-        results.append(((a, b), estimate))
-    return results
+    diffs = np.array([stats[a] - stats[b] for a, b in pairs])
+    estimates = summarize_draws(diffs, bonferroni_level(level, m), "bootstrap-percentile")
+    return list(zip(pairs, estimates))

@@ -192,10 +192,15 @@ def load_task_file(path) -> tuple[TaskSpec, ...]:
     """
     _, rows = read_csv_rows(path, _TASK_FILE_COLUMNS)
     tasks = []
+    first_row: dict[str, int] = {}
     for lineno, row in rows:
         if len(row) != 3:
             raise ValidationError(f"{path}: row {lineno} has {len(row)} columns, expected 3")
         task_id, category, size_text = (c.strip() for c in row)
+        if task_id in first_row:
+            raise ValidationError(f"{path}: row {lineno}, column 'task': task {task_id!r} "
+                                  f"repeats row {first_row[task_id]}")
+        first_row[task_id] = lineno
         try:
             size = int(size_text)
         except ValueError:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .bootstrap import DISPLAY_LEVEL, IntervalEstimate, ReplicateStore, percentile_interval
+from .bootstrap import DISPLAY_LEVEL, IntervalEstimate, ReplicateStore, summarize_draws
 from .errors import ValidationError
 from .normalize import CLAMP_WARNING, NormalizationBounds, _clamped_scores
 
@@ -163,7 +163,9 @@ def rank_tables(
 ) -> dict[str, list[RankSummary]]:
     """Apply each of ``schemes`` to every sample and summarize per model.
 
-    Returns ``{scheme value: [RankSummary per model]}`` in scheme order.
+    Returns ``{scheme value: [RankSummary per model]}`` in scheme order,
+    each model's ranks summarized by
+    :func:`~benchuq.bootstrap.summarize_draws`.
     ``samples`` is a bootstrap ReplicateStore or a samples x models x tasks
     array (e.g. posterior-predictive accuracies — tagged accordingly).  One
     pass over the samples ranks every scheme, and with ``normalizer`` each
@@ -220,16 +222,11 @@ def rank_tables(
             "geometric mean is 0 and they rank last"
         )
 
-    tables = {}
-    for scheme, scheme_ranks in ranks.items():
-        lower, upper = percentile_interval(scheme_ranks, level)
-        tables[scheme.value] = [
-            RankSummary(model, scheme, point, IntervalEstimate(
-                point, float(low), float(high), level, method))
-            for model, point, low, high in zip(
-                models, (float(r.mean()) for r in scheme_ranks), lower, upper)
-        ]
-    return tables
+    return {
+        scheme.value: [RankSummary(model, scheme, estimate.point, estimate) for model, estimate
+                       in zip(models, summarize_draws(scheme_ranks, level, method))]
+        for scheme, scheme_ranks in ranks.items()
+    }
 
 
 def rank_intervals(

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import betaln
 from scipy.stats import beta as beta_dist
 
 import benchuq.bhm as bhm
@@ -14,8 +13,6 @@ from benchuq.bhm import (
     effective_sample_size,
     fit_bhm,
     gibbs_theta_update,
-    log_conditional_alpha,
-    log_conditional_beta,
     posterior_predictive,
     posterior_rank_probabilities,
     slice_sample_step,
@@ -30,12 +27,23 @@ from benchuq.weighting import WeightVector
 # convergence behavior itself is covered explicitly below.
 pytestmark = pytest.mark.filterwarnings("ignore::benchuq.errors.ConvergenceWarning")
 
-# Frozen from tools/oracles.py (mpmath, 50 decimal digits):
-# log conditional of alpha at J=3, theta=(.5,.5,.5), beta=2, Exp(1/10000).
-ORACLE_LOG_COND = {
-    1: -7.13099883029634681,
-    10: -13.8248731497174574,
-    100: -187.424180889791887,
+# Frozen from tools/oracles.py (mpmath, 50 decimal digits): the collapsed
+# log density of (log alpha, log beta) on Y = (60, 150, 20) of
+# N = (100, 200, 50), as (alpha, beta, value) per prior case.
+ORACLE_TABLE = (np.array([60, 150, 20]), np.array([100, 200, 50]))
+ORACLE_LOG_POSTERIOR = {
+    "exponential": (
+        (PriorSpec.exponential(1e-4), PriorSpec.exponential(1e-4)),
+        [(2.0, 1.5, -236.352565945883), (130.0, 90.0, -232.114040018459668)],
+    ),
+    "truncated-normal": (
+        (PriorSpec.truncated_normal(20.0, 10.0), PriorSpec.truncated_normal(10.0, 5.0)),
+        [(13.0, 8.0, -213.957120199187094), (400.0, 250.0, -2086.87160882749012)],
+    ),
+    "fixed-beta": (
+        (PriorSpec.exponential(1e-4), PriorSpec.fixed(7.0)),
+        [(2.0, 7.0, -232.497057868778694), (130.0, 7.0, -286.35853284331734)],
+    ),
 }
 
 
@@ -67,23 +75,9 @@ def manual_draws(theta, config=None, sizes=(10, 10)):
 
 
 class TestPriorSpec:
-    def test_exponential_log_density(self):
-        prior = PriorSpec.exponential(rate=0.25)
-        assert prior.log_density(3.0) == pytest.approx(math.log(0.25) - 0.75)
-        assert prior.log_density(0.0) == -math.inf
-        assert prior.log_density(-1.0) == -math.inf
-
-    def test_truncated_normal_log_density(self):
-        prior = PriorSpec.truncated_normal(mu=2000.0, sigma=10.0)
-        assert prior.log_density(2010.0) == pytest.approx(-0.5)
-        assert prior.log_density(-5.0) == -math.inf
-
     def test_fixed_prior_has_no_density(self):
-        prior = PriorSpec.fixed(7.0)
         with pytest.raises(ValidationError, match="fixed"):
-            prior.log_density(7.0)
-        with pytest.raises(ValidationError, match="fixed"):
-            log_conditional_alpha(7.0, 2.0, [0.5], prior)
+            PriorSpec.fixed(7.0).coefficients()
 
     @pytest.mark.parametrize(
         "bad",
@@ -137,43 +131,19 @@ class TestGibbsThetaUpdate:
         assert np.all((draws > 0) & (draws < 1))
 
 
-class TestLogConditionals:
-    PRIOR = PriorSpec.exponential(rate=1.0 / 10_000)
-
-    @pytest.mark.parametrize("alpha,expected", sorted(ORACLE_LOG_COND.items()))
-    def test_matches_high_precision_oracle(self, alpha, expected):
-        got = log_conditional_alpha(alpha, 2.0, [0.5, 0.5, 0.5], self.PRIOR)
-        assert got == pytest.approx(expected, rel=5e-10)
-
-    def test_beta_counterpart_is_symmetric(self):
-        # log(1 - 0.5) = log(0.5), so the beta conditional at beta=a equals
-        # the alpha oracle values with the roles of (alpha, beta) swapped.
-        for b, expected in ORACLE_LOG_COND.items():
-            got = log_conditional_beta(2.0, b, [0.5, 0.5, 0.5], self.PRIOR)
-            assert got == pytest.approx(expected, rel=5e-10)
-
-    def test_beta_formula_direct(self):
-        thetas = np.array([0.2, 0.7, 0.9])
-        a, b = 3.0, 5.0
-        expected = (
-            self.PRIOR.log_density(b)
-            + (b - 1) * np.log1p(-thetas).sum()
-            - 3 * betaln(a, b)
-        )
-        assert log_conditional_beta(a, b, thetas, self.PRIOR) == pytest.approx(
-            expected, rel=1e-12
-        )
-
-    def test_nonpositive_argument_gives_minus_inf(self):
-        assert log_conditional_alpha(0.0, 2.0, [0.5], self.PRIOR) == -math.inf
-        assert log_conditional_alpha(-3.0, 2.0, [0.5], self.PRIOR) == -math.inf
-        assert log_conditional_beta(2.0, 0.0, [0.5], self.PRIOR) == -math.inf
-
-    def test_no_tasks_reduces_to_prior(self):
-        for x in (0.5, 5.0, 300.0):
-            assert log_conditional_alpha(x, 2.0, [], self.PRIOR) == pytest.approx(
-                self.PRIOR.log_density(x), rel=1e-12
-            )
+class TestLogPosterior:
+    @pytest.mark.parametrize("case", sorted(ORACLE_LOG_POSTERIOR))
+    def test_matches_high_precision_oracle(self, case):
+        (prior_a, prior_b), points = ORACLE_LOG_POSTERIOR[case]
+        _, _, to_logs = bhm._coordinates(prior_a, prior_b)
+        density = bhm._log_posterior(*ORACLE_TABLE, prior_a, prior_b, to_logs)
+        for alpha, beta, expected in points:
+            if prior_b.kind == "fixed":  # the grid is in (log alpha, log beta)
+                x, y = math.log(alpha), math.log(beta)
+            else:  # the grid is in (logit mean, log concentration)
+                x, y = math.log(alpha / beta), math.log(alpha + beta)
+            got = density(np.array([x]), np.array([y]))[0, 0]
+            assert got == pytest.approx(expected, rel=1e-12)
 
 
 class TestLgamma:

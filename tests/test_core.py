@@ -273,6 +273,9 @@ class TestLoading:
         bad.write_text("task,category,test_size\nt1,c,0\n")
         with pytest.raises(ValidationError, match=">= 1"):
             load_task_file(bad)
+        bad.write_text("task,category,test_size\na,c,10\nb,c,10\na,c,20\n")
+        with pytest.raises(ValidationError, match="row 4.*'a' repeats row 2"):
+            load_task_file(bad)
 
 
 class TestConsistency:
