@@ -358,11 +358,9 @@ def _leaderboard_order(models, estimates) -> list[str]:
 
 
 def _rank_sections(store, bounds, schemes, level, normalized):
-    """Rank tables per scheme, for raw and (optionally) normalized scores."""
-    sections = {"raw": rank_tables(store, schemes, level)}
-    if normalized:
-        sections["normalized"] = rank_tables(store, schemes, level, normalizer=bounds)
-    return sections
+    """Rank tables per scheme, for raw and (optionally) normalized scores,
+    in one pass over the store."""
+    return rank_tables(store, schemes, level, normalizer=bounds if normalized else None)
 
 
 def _rank_table_files(out_dir, sections, formats):

@@ -18,6 +18,19 @@ overshoots the top-three binned points (4.47, 4.81, 5.81 against 4.2,
 Noise and binning operate on the 0-100 percentage scale, with a fixed noise
 sd of 1 percentage point and a fixed bin width of 1 percentage point:
 standard normal noise on the fraction scale would drown the signal entirely.
+
+A per-task scheme depends only on each task's order of the models, so it
+is invariant under any increasing map of that task's scores.  The map to
+normalized percentages is one: ``(x - low) / (high - low)``, clamping into
+[0, 1], ``* 100`` and ``floor`` are each correctly rounded, hence
+non-decreasing in IEEE arithmetic.  Three results follow.  Normalized
+average-rank equals raw average-rank unless clamping merges values, as the
+published raw and normalized average-rank columns agree.  Binned differs,
+because its 1-point bins are cut on the normalized scale.  Noise differs,
+because the noise is added after normalization.  :func:`rank_tables` uses
+the same fact for speed: one sort of a block's raw values orders the
+average-rank and binned keys of both sections, and tie groups are still
+found from each column's own keys.
 """
 
 from __future__ import annotations
@@ -61,6 +74,11 @@ class RankScheme(str, enum.Enum):
     AVERAGE_RANK_BINNED = "average-rank-binned"
 
 
+# The schemes that rank one aggregate per (sample, model); the others rank
+# every task and average the ranks.
+_PER_SAMPLE = (RankScheme.BY_AVERAGE, RankScheme.GEOMETRIC_MEAN)
+
+
 @dataclass(frozen=True)
 class RankSummary:
     """One model's aggregated rank: mean over samples plus an interval."""
@@ -72,76 +90,102 @@ class RankSummary:
 
 
 class _Workspace:
-    """Buffers for ranking blocks of up to ``cells`` values, reused block to block."""
+    """Buffers for ranking blocks of up to ``cells`` values in rows of
+    ``n_models``, reused block to block."""
 
-    def __init__(self, cells: int):
-        self.positions = np.arange(cells)
-        self.first, self.from_end = np.empty((2, cells), dtype=self.positions.dtype)
-        self.starts = np.empty(cells + 1, dtype=bool)
-        self.keys, self.ranks, self.percent, self.noise = np.empty((4, cells))
+    def __init__(self, cells: int, n_models: int):
+        self.owner, self.source = np.empty((2, cells), dtype=np.intp)
+        # Positions within a row and their differences, in the narrowest
+        # signed type that holds them: the running maxima go at that width.
+        self.scans = np.empty((4, cells), dtype=np.min_scalar_type(-n_models))
+        self.breaks = np.empty(cells, dtype=bool)
+        self.negated, self.sorted, self.keys, self.noise = np.empty((4, cells))
 
 
-def _descending_ranks(values: np.ndarray, ws: _Workspace, axis: int = -1) -> np.ndarray:
-    """Fractional ranks along ``axis`` with 1 = largest value.
+def _sort_order(values, ws):
+    """Sort every (sample, task) row of a samples x models x tasks array.
 
-    Tied values share the mean of their positions.  A slice holding a NaN
-    ranks NaN throughout.  This matches ``scipy.stats.rankdata(-values,
-    method="average", axis=axis)`` exactly.  The result is a view of
-    ``ws.ranks``, valid until the next call.
+    Each row runs from its largest value down, NaN last.  Returns two
+    models x rows arrays, rows in sample-major order: ``owner`` holds the
+    (sample, model) pair s * M + m at each sorted slot, and ``source`` the
+    flat index owner * T + t of that value in ``values``.
     """
-    values = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
-    size, n = values.size, values.shape[-1]
-    if size == 0:
-        return np.moveaxis(values.copy(), -1, axis)
-    keys = ws.keys[:size].reshape(values.shape)
-    order = np.negative(values, out=keys).argsort(axis=-1)
-    keys.sort(axis=-1)
-    # Runs of equal keys in a sorted slice are tie groups, and every slice
-    # starts one.  A group at flat positions first..last has the mean rank
-    # (first + last) / 2 + 1, less the flat position where its slice starts.
-    # A running maximum of position * starts gives each position's first.
-    # Over the reversed array, where starts[i + 1] flags a group ending at i,
-    # it gives from_end = size - 1 - last.
-    flat, starts = ws.keys[:size], ws.starts[: size + 1]
-    nan_rows = np.isnan(flat[n - 1 :: n])  # NaN sorts last
-    np.not_equal(flat[1:], flat[:-1], out=starts[1:size])
-    starts[::n] = True
-    positions, first, from_end = ws.positions[:size], ws.first[:size], ws.from_end[:size]
-    np.maximum.accumulate(np.multiply(positions, starts[:size], out=first), out=first)
-    np.maximum.accumulate(np.multiply(positions, starts[:0:-1], out=from_end), out=from_end)
-    np.subtract(first, from_end[::-1], out=first)
-    mean_rank = np.multiply(first, 0.5, out=flat).reshape(-1, n)
-    mean_rank -= positions[::n, None] - (size + 1) / 2
-    mean_rank[nan_rows] = np.nan
-    # Scatter each mean rank to the flat input position it was sorted from.
-    np.add(order.reshape(-1, n), positions[::n, None], out=first.reshape(-1, n))
-    ws.ranks[first] = flat
-    return np.moveaxis(ws.ranks[:size].reshape(values.shape), -1, axis)
+    n_samples, n_models, n_tasks = values.shape
+    size, rows = values.size, n_samples * n_tasks
+    negated = ws.negated[:size].reshape(n_samples, n_tasks, n_models)
+    order = np.negative(values.transpose(0, 2, 1), out=negated).argsort(axis=-1)
+    row = np.arange(rows)
+    owner = np.add(order.reshape(rows, n_models).T, row // n_tasks * n_models,
+                   out=ws.owner[:size].reshape(n_models, rows))
+    source = np.multiply(owner, n_tasks, out=ws.source[:size].reshape(n_models, rows))
+    source += row % n_tasks
+    return owner, source
 
 
-def _block_ranks(block, scheme, ws, gen):
-    """Per-sample ranks of a samples x models x tasks block.
+def _sorted(values, source, ws):
+    """``values`` at the sorted slots ``source`` of :func:`_sort_order`."""
+    # Every index is in range; mode="clip" spares the copy of ``out`` that
+    # take makes under its default mode.
+    out = ws.sorted[: source.size].reshape(source.shape)
+    return np.take(values.reshape(-1), source, out=out, mode="clip")
 
-    Returns the samples x models ranks and the number of (sample, model)
-    pairs with a zero accuracy, which only the geometric mean counts.  The
-    block's noise is the next ``block.size`` normals of ``gen``.
+
+def _running_max(values, spare):
+    """Running maximum down the first axis, by doubling: log2(len)
+    whole-array maxima.  Uses up both arrays."""
+    step = 1
+    while step < len(values):
+        spare[:step] = values[:step]
+        np.maximum(values[step:], values[:-step], out=spare[step:])
+        values, spare = spare, values
+        step *= 2
+    return values
+
+
+def _rank_sums(keys, owner, n_tasks, ws):
+    """Each (sample, model) pair's descending ranks summed over tasks, doubled.
+
+    ``keys`` is models x rows, every row in the order of :func:`_sort_order`
+    (NaN last), and ``owner`` is that order's owner array; ``keys`` is used
+    up.  Tied keys share the mean of their positions, and a sample with a
+    NaN row ranks NaN throughout.  Divided by 2 * T, the flat samples *
+    models result is ``scipy.stats.rankdata(-values, method="average",
+    axis=1).mean(axis=2)`` bit for bit: ranks are half-integers, so the
+    doubled sums are exact integers.
     """
-    if scheme == RankScheme.BY_AVERAGE:
-        return _descending_ranks(block.mean(axis=2), ws), 0
-    if scheme == RankScheme.GEOMETRIC_MEAN:
-        has_zero = (block == 0.0).any(axis=2)
-        with np.errstate(divide="ignore"):
-            gm = np.exp(np.log(block).mean(axis=2))
-        gm[has_zero] = 0.0
-        return _descending_ranks(gm, ws), int(has_zero.sum())
-    percent = np.multiply(block, 100.0, out=ws.percent[: block.size].reshape(block.shape))
-    if scheme == RankScheme.AVERAGE_RANK_NOISE:
-        noise = gen.standard_normal(out=ws.noise[: block.size].reshape(block.shape))
-        percent += np.multiply(noise, _NOISE_SD, out=noise)
-    elif scheme == RankScheme.AVERAGE_RANK_BINNED:
-        percent /= _BIN_WIDTH
-        np.floor(percent, out=percent)
-    return _descending_ranks(percent, ws, axis=1).mean(axis=2), 0
+    n_models, rows = keys.shape
+    # Runs of equal keys down a column are tie groups.  A group at positions
+    # first..last has the mean rank (first + last) / 2 + 1.  With breaks[k]
+    # flagging that a group ends at k and the next starts at k + 1, the
+    # running maximum of k * breaks[k - 1] down the column gives each slot's
+    # first, and that of (M - 1 - k) * breaks[k] up the column M - 1 - last.
+    breaks = ws.breaks[: keys.size - rows].reshape(n_models - 1, rows)
+    np.not_equal(keys[1:], keys[:-1], out=breaks)
+    nan_samples = np.isnan(keys[-1]).reshape(-1, n_tasks).any(axis=1)
+    scans = ws.scans[:, : keys.size].reshape(4, *keys.shape)
+    position = np.arange(n_models, dtype=scans.dtype)[:, None]
+    first, from_end = scans[0], scans[2]
+    first[0] = from_end[-1] = 0
+    np.multiply(position[1:], breaks, out=first[1:])
+    np.multiply(position[:0:-1], breaks, out=from_end[:-1])
+    first = _running_max(first, scans[1])
+    from_end = _running_max(from_end[::-1], scans[3][::-1])[::-1]
+    # A slot's doubled rank is first + last + 2 = (first - from_end) + M + 1.
+    offsets = np.subtract(first, from_end, out=keys)
+    sums = np.bincount(owner.reshape(-1), weights=offsets.reshape(-1),
+                       minlength=len(nan_samples) * n_models)
+    sums += n_tasks * (n_models + 1)
+    sums.reshape(-1, n_models)[nan_samples] = np.nan
+    return sums
+
+
+def _geometric_mean(block):
+    """Per-(sample, model) geometric means over tasks and the count of zeros."""
+    has_zero = (block == 0.0).any(axis=2)
+    with np.errstate(divide="ignore"):
+        gm = np.exp(np.log(block).mean(axis=2))
+    gm[has_zero] = 0.0
+    return gm, int(has_zero.sum())
 
 
 def _warn_caller(message):
@@ -152,32 +196,99 @@ def _warn_caller(message):
     warnings.warn(message, stacklevel=level)
 
 
-def rank_tables(
-    samples,
-    schemes,
-    level: float = DISPLAY_LEVEL,
-    seed: int | None = None,
-    models=None,
-    method: str | None = None,
-    normalizer: NormalizationBounds | None = None,
-) -> dict[str, list[RankSummary]]:
-    """Apply each of ``schemes`` to every sample and summarize per model.
+def _block_rank_sums(block, scored, schemes, noise, ws):
+    """Doubled rank sums per (section, scheme) of one block.
 
-    Returns ``{scheme value: [RankSummary per model]}`` in scheme order,
-    each model's ranks summarized by
-    :func:`~benchuq.bootstrap.summarize_draws`.
-    ``samples`` is a bootstrap ReplicateStore or a samples x models x tasks
-    array (e.g. posterior-predictive accuracies — tagged accordingly).  One
-    pass over the samples ranks every scheme, and with ``normalizer`` each
-    block goes through :func:`~benchuq.normalize.normalize_scores` against
-    those fixed bounds once; one warning per call counts the values clamped
-    into [0, 1].  The noise variant adds normal noise of sd 1 percentage
-    point: sample s of M x T cells takes normals [s*M*T, (s+1)*M*T) of the
-    RANK_NOISE substream of ``seed`` (default: the store's seed, else 0)
-    whatever the sample count, block size or other schemes, so raw and
-    normalized tables share it.  Binned bins are 1 percentage point wide.
+    ``scored`` maps each section to the block's scores in it.  One sort of
+    the raw values orders every section's average-rank and binned keys,
+    which are non-decreasing maps of the raw value; the noise columns and
+    the per-sample aggregates sort their own keys.  Also returns each
+    section's count of (sample, model) pairs with a zero accuracy.
     """
-    schemes = [RankScheme(scheme) for scheme in schemes]
+    n_tasks = block.shape[2]
+    sums, zeros = {}, dict.fromkeys(scored, 0)
+    per_task = [scheme for scheme in (RankScheme.AVERAGE_RANK, RankScheme.AVERAGE_RANK_BINNED)
+                if scheme in schemes]
+    if per_task:
+        owner, source = _sort_order(block, ws)
+        keys = ws.keys[: block.size].reshape(source.shape)
+        for section, scores in scored.items():
+            ordered = _sorted(scores, source, ws)
+            for scheme in per_task:
+                percent = np.multiply(ordered, 100.0, out=keys)
+                if scheme == RankScheme.AVERAGE_RANK_BINNED:
+                    percent /= _BIN_WIDTH
+                    np.floor(percent, out=percent)
+                sums[section, scheme] = _rank_sums(percent, owner, n_tasks, ws)
+    if noise is not None:
+        for section, scores in scored.items():
+            percent = np.multiply(scores, 100.0, out=ws.keys[: block.size].reshape(block.shape))
+            percent += noise
+            owner, source = _sort_order(percent, ws)
+            sums[section, RankScheme.AVERAGE_RANK_NOISE] = _rank_sums(
+                _sorted(percent, source, ws), owner, n_tasks, ws)
+    for section, scores in scored.items():
+        for scheme in _PER_SAMPLE:
+            if scheme not in schemes:
+                continue
+            if scheme == RankScheme.BY_AVERAGE:
+                aggregate = scores.mean(axis=2)
+            else:
+                aggregate, zeros[section] = _geometric_mean(scores)
+            owner, source = _sort_order(aggregate[:, :, None], ws)
+            sums[section, scheme] = _rank_sums(_sorted(aggregate, source, ws), owner, 1, ws)
+    return sums, zeros
+
+
+def _section_rank_sums(values, schemes, sections, seed, normalizer):
+    """Models x samples doubled rank sums per (section, scheme), in one pass
+    over ``values``: each block is normalized once and its noise drawn once
+    for every section."""
+    n_samples, n_models, n_tasks = values.shape
+    step = max(1, _BLOCK_CELLS // (n_models * n_tasks))
+    ws = _Workspace(min(n_samples, step) * n_models * n_tasks, n_models)
+    gen = _rng.substream(seed, _rng.RANK_NOISE)
+    # Doubled rank sums are integers, exact in float32 below 2**24, which
+    # holds ten tables in the memory of five float64 ones.
+    dtype = np.float32 if 2 * n_models * n_tasks < 2**24 else np.float64
+    doubled = {(section, scheme): np.empty((n_models, n_samples), dtype=dtype)
+               for section in sections for scheme in schemes}
+    n_zero = dict.fromkeys(sections, 0)
+    n_outside = 0
+    for lo in range(0, n_samples, step):
+        block = values[lo : lo + step]
+        scored = {}
+        for section in sections:
+            if section == "raw":
+                scored[section] = block
+            else:
+                scored[section], outside = _clamped_scores(block, normalizer)
+                n_outside += outside
+        noise = None
+        if RankScheme.AVERAGE_RANK_NOISE in schemes:
+            noise = gen.standard_normal(out=ws.noise[: block.size].reshape(block.shape))
+            noise *= _NOISE_SD
+        sums, zeros = _block_rank_sums(block, scored, schemes, noise, ws)
+        for key, block_sums in sums.items():
+            doubled[key][:, lo : lo + len(block)] = block_sums.reshape(-1, n_models).T
+        for section, count in zeros.items():
+            n_zero[section] += count
+
+    for section in sections:
+        if section == "normalized" and n_outside:
+            _warn_caller(CLAMP_WARNING.format(n_outside))
+        if n_zero[section]:
+            scale = " on the normalized scale" if section == "normalized" else ""
+            _warn_caller(
+                f"{n_zero[section]} (sample, model) pair(s) have a zero accuracy{scale}; "
+                "their geometric mean is 0 and they rank last"
+            )
+    return doubled
+
+
+def _rank_summaries(samples, schemes, sections, level, seed, models, method, normalizer):
+    """``{section: {scheme value: [RankSummary per model]}}`` of ``sections``."""
+    schemes = list(dict.fromkeys(RankScheme(scheme) for scheme in schemes))
     if isinstance(samples, ReplicateStore):
         values = samples.replicates
         models = samples.source.models if models is None else models
@@ -194,39 +305,55 @@ def rank_tables(
     n_samples, n_models, n_tasks = values.shape
     if n_samples < 2:
         raise ValidationError("need at least 2 samples for rank intervals")
+    if n_models == 0 or n_tasks == 0:
+        raise ValidationError("need at least one model and one task to rank")
     if len(models) != n_models:
         raise ValidationError(f"{len(models)} names for {n_models} models")
 
-    step = max(1, _BLOCK_CELLS // max(1, n_models * n_tasks))
-    # Models x samples per scheme, so one quantile call along the last axis
-    # gives every model's interval.
-    ranks = {scheme: np.empty((n_models, n_samples)) for scheme in schemes}
-    ws = _Workspace(min(n_samples, step) * n_models * max(1, n_tasks))
-    gen = _rng.substream(seed, _rng.RANK_NOISE)
-    n_zero = n_outside = 0
-    for lo in range(0, n_samples, step):
-        block = values[lo : lo + step]
-        if normalizer is not None:
-            block, outside = _clamped_scores(block, normalizer)
-            n_outside += outside
-        # Each scheme once per block, so the noise scheme draws its normals once.
-        for scheme, scheme_ranks in ranks.items():
-            block_ranks, zeros = _block_ranks(block, scheme, ws, gen)
-            scheme_ranks[:, lo : lo + len(block)] = block_ranks.T
-            n_zero += zeros
-    if n_outside:
-        _warn_caller(CLAMP_WARNING.format(n_outside))
-    if n_zero:
-        _warn_caller(
-            f"{n_zero} (sample, model) pair(s) have a zero accuracy; their "
-            "geometric mean is 0 and they rank last"
-        )
+    doubled = _section_rank_sums(values, schemes, sections, seed, normalizer)
 
-    return {
-        scheme.value: [RankSummary(model, scheme, estimate.point, estimate) for model, estimate
-                       in zip(models, summarize_draws(scheme_ranks, level, method))]
-        for scheme, scheme_ranks in ranks.items()
-    }
+    def summaries(section, scheme):
+        # One division turns a doubled rank sum into the mean rank.
+        ranks = np.divide(doubled.pop((section, scheme)),
+                          2 * (1 if scheme in _PER_SAMPLE else n_tasks), dtype=float)
+        return [RankSummary(model, scheme, estimate.point, estimate)
+                for model, estimate in zip(models, summarize_draws(ranks, level, method))]
+
+    return {section: {scheme.value: summaries(section, scheme) for scheme in schemes}
+            for section in sections}
+
+
+def rank_tables(
+    samples,
+    schemes,
+    level: float = DISPLAY_LEVEL,
+    seed: int | None = None,
+    models=None,
+    method: str | None = None,
+    normalizer: NormalizationBounds | None = None,
+) -> dict[str, dict[str, list[RankSummary]]]:
+    """Apply each of ``schemes`` to every sample, raw and normalized, and
+    summarize per model.
+
+    Returns ``{"raw": {scheme value: [RankSummary per model]}}`` in scheme
+    order, each model's ranks summarized by
+    :func:`~benchuq.bootstrap.summarize_draws`; with ``normalizer`` a
+    ``"normalized"`` section of the same shape follows, ranking scores put
+    through :func:`~benchuq.normalize.normalize_scores` against those fixed
+    bounds.  ``samples`` is a bootstrap ReplicateStore or a samples x models
+    x tasks array (e.g. posterior-predictive accuracies — tagged
+    accordingly).  One pass over the samples ranks both sections: each block
+    is normalized once, one sort of its raw values orders the average-rank
+    and binned keys of both, and one warning per call counts the values
+    clamped into [0, 1].  The noise variant adds normal noise of sd 1
+    percentage point: sample s of M x T cells takes normals
+    [s*M*T, (s+1)*M*T) of the RANK_NOISE substream of ``seed`` (default: the
+    store's seed, else 0) whatever the sample count, block size or other
+    schemes, and both sections take the same normals.  Binned bins are 1
+    percentage point wide.
+    """
+    sections = ("raw",) if normalizer is None else ("raw", "normalized")
+    return _rank_summaries(samples, schemes, sections, level, seed, models, method, normalizer)
 
 
 def rank_intervals(
@@ -238,7 +365,10 @@ def rank_intervals(
     method: str | None = None,
     normalizer: NormalizationBounds | None = None,
 ) -> list[RankSummary]:
-    """One scheme's rows of :func:`rank_tables`, warning for this function's caller."""
+    """One scheme's rows of :func:`rank_tables`: the normalized section's
+    with ``normalizer``, else the raw one's; it ranks only that section."""
     scheme = RankScheme(scheme)
-    tables = rank_tables(samples, (scheme,), level, seed, models, method, normalizer)
-    return tables[scheme.value]
+    section = "raw" if normalizer is None else "normalized"
+    tables = _rank_summaries(samples, (scheme,), (section,), level, seed, models, method,
+                             normalizer)
+    return tables[section][scheme.value]

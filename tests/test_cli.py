@@ -681,6 +681,41 @@ def test_normalized_rank_section_normalizes_each_block_once(monkeypatch):
     assert sum(rows) == store.n_replicates
 
 
+def test_rank_sections_rank_in_one_pass_and_draw_the_noise_once(monkeypatch):
+    store = run_bootstrap(benchuq.load_vtab(), B=1000, seed=0)
+    bounds = estimate_bounds(store)
+    passes, drawn = [], []
+    section_rank_sums = ranking_mod._section_rank_sums
+    substream = ranking_mod._rng.substream
+
+    def counted_pass(values, schemes, sections, *args):
+        passes.append(sections)
+        return section_rank_sums(values, schemes, sections, *args)
+
+    class CountedNormals:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def standard_normal(self, *args, **kwargs):
+            normals = self.gen.standard_normal(*args, **kwargs)
+            drawn.append(normals.size)
+            return normals
+
+    def counted_substream(seed, stream):
+        gen = substream(seed, stream)
+        return CountedNormals(gen) if stream == ranking_mod._rng.RANK_NOISE else gen
+
+    monkeypatch.setattr(ranking_mod, "_section_rank_sums", counted_pass)
+    monkeypatch.setattr(ranking_mod._rng, "substream", counted_substream)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        sections = cli._rank_sections(store, bounds, cli.ALL_SCHEMES, cli.RANK_LEVEL, True)
+    assert list(sections) == ["raw", "normalized"]
+    assert passes == [("raw", "normalized")]
+    # Both noise columns share each block's normals: S x M x T in all.
+    assert sum(drawn) == store.replicates.size
+
+
 def test_simplex_frees_the_store_before_its_scans(tmp_path, monkeypatch):
     scan = cli.simplex_scan
     held = []

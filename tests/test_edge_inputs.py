@@ -91,7 +91,7 @@ def test_constant_replicates_give_degenerate_intervals(table):
     schemes = [s for s in RankScheme if s is not RankScheme.AVERAGE_RANK_NOISE]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # zero-accuracy note
-        tables = rank_tables(store, schemes, level=0.95)
+        tables = rank_tables(store, schemes, level=0.95)["raw"]
     estimates += [row.interval for rows in tables.values() for row in rows]
     for est in estimates:
         assert est.point == est.lower == est.upper

@@ -20,8 +20,13 @@ from benchuq.bootstrap import (
 from benchuq.core import EvalTable, TaskSpec
 from benchuq.errors import ValidationError
 from benchuq.fixtures import load_vtab
-from benchuq.normalize import estimate_bounds, normalize_scores
-from benchuq.ranking import RankScheme, _descending_ranks, rank_intervals, rank_tables
+from benchuq.normalize import (
+    NormalizationBounds,
+    _clamped_scores,
+    estimate_bounds,
+    normalize_scores,
+)
+from benchuq.ranking import RankScheme, rank_intervals, rank_tables
 
 
 def small_table():
@@ -270,19 +275,43 @@ _SMALL_ARRAYS = npst.arrays(
 )
 
 
-@given(_SMALL_ARRAYS, _SMALL_ARRAYS, st.integers(0, 2), st.data())
+def _clamped_percent(values):
+    # Bounds inside the values' range, so clamping merges distinct values.
+    tasks = tuple(f"t{j}" for j in range(values.shape[-1]))
+    bounds = NormalizationBounds(tasks, np.full(len(tasks), 1 / 3), np.full(len(tasks), 2 / 3))
+    return _clamped_scores(values, bounds)[0] * 100.0
+
+
+# Non-decreasing maps of a value: ranking their images in the value's order
+# must give each image's own ranks.
+_KEY_MAPS = {
+    "values": lambda values: values,
+    "binned": lambda values: np.floor(values * 100.0 / ranking_mod._BIN_WIDTH),
+    "clamped": _clamped_percent,
+}
+
+
+@given(_SMALL_ARRAYS, _SMALL_ARRAYS, st.sampled_from(sorted(_KEY_MAPS)), st.data())
 @settings(max_examples=150, deadline=None)
-def test_descending_ranks_equal_rankdata(first, second, axis, data):
-    # Few distinct values, so most slices hold ties; shapes include a single
+def test_descending_ranks_equal_rankdata(first, second, key_map, data):
+    # Few distinct values, so most rows hold ties; shapes include a single
     # sample, a single model and a single task.  Both arrays go through one
     # workspace sized for the larger, so a tie edge or NaN row that one call
-    # leaves behind would corrupt the other.  The first holds a NaN slice.
+    # leaves behind would corrupt the other.  The first holds a NaN, so one
+    # of its rows ranks NaN.
+    # Each array is sorted once by its own values and the keys ranked are
+    # an image of them, as the average-rank and binned columns are ranked.
     assume(first.shape != second.shape)
     first.flat[data.draw(st.integers(0, first.size - 1))] = np.nan
-    ws = ranking_mod._Workspace(max(first.size, second.size))
+    ws = ranking_mod._Workspace(max(first.size, second.size),
+                                max(first.shape[1], second.shape[1]))
     for values in (first, second):
-        ranks = _descending_ranks(values, ws, axis=axis)
-        expected = rankdata(-values, method="average", axis=axis)
+        keys = _KEY_MAPS[key_map](values)
+        owner, source = ranking_mod._sort_order(values, ws)
+        sums = ranking_mod._rank_sums(ranking_mod._sorted(keys, source, ws), owner,
+                                      values.shape[2], ws)
+        expected = rankdata(-keys, method="average", axis=1).mean(axis=2)
+        ranks = sums.reshape(expected.shape) / (2 * values.shape[2])
         assert np.array_equal(ranks, expected, equal_nan=True)
 
 
@@ -345,9 +374,11 @@ def test_rank_intervals_equal_per_sample_reference_across_blocks():
     normalized = normalize_scores(store.replicates, bounds)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        # All five schemes in one pass, each block normalized once.
-        raw_tables = rank_tables(store, RankScheme)
-        norm_tables = rank_tables(store, RankScheme, normalizer=bounds)
+        # All five schemes of both sections in one pass, each block
+        # normalized once.
+        tables = rank_tables(store, RankScheme, normalizer=bounds)
+    raw_tables, norm_tables = tables["raw"], tables["normalized"]
+    assert list(tables) == ["raw", "normalized"]
     assert list(raw_tables) == list(norm_tables) == [s.value for s in RankScheme]
     for scheme in RankScheme:
         with warnings.catch_warnings():
@@ -402,3 +433,23 @@ def test_rank_intervals_clamp_warning_counts_every_block_once():
     assert len(clamp_warnings) == 1
     assert str(clamp_warnings[0].message) == str(whole[0].message)
     assert clamp_warnings[0].filename == __file__
+
+
+def test_rank_tables_with_clamped_bounds_equal_per_sample_reference():
+    # Bounds from a small store clamp values of a larger one in each of its
+    # three blocks.  Clamping merges values into ties the raw values lack,
+    # yet one sort of the raw values still orders every normalized column.
+    table = load_vtab()
+    bounds = estimate_bounds(run_bootstrap(table, B=50, seed=1))
+    store = run_bootstrap(table, B=500, seed=2)
+    assert len(store.replicates) > 2 * (ranking_mod._BLOCK_CELLS // store.replicates[0].size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        normalized = normalize_scores(store.replicates, bounds)
+        tables = rank_tables(store, RankScheme, normalizer=bounds)
+    plain = RankScheme.AVERAGE_RANK
+    assert not np.array_equal(_reference_ranks(normalized, plain, store.seed),
+                              _reference_ranks(store.replicates, plain, store.seed))
+    for scheme in RankScheme:
+        expected = _reference_rows(_reference_ranks(normalized, scheme, store.seed))
+        assert _summary_rows(tables["normalized"][scheme.value]) == expected, scheme

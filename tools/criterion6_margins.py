@@ -76,9 +76,9 @@ def seed_margins(seed, acc):
                RankScheme.AVERAGE_RANK_NOISE, RankScheme.AVERAGE_RANK_BINNED)
     columns = {
         section: {scheme: {r.model: r.interval for r in rows}
-                  for scheme, rows in rank_tables(store, schemes, level=0.95,
-                                                  normalizer=normalizer).items()}
-        for section, normalizer in (("raw", None), ("normalized", bounds))
+                  for scheme, rows in tables.items()}
+        for section, tables in rank_tables(store, schemes, level=0.95,
+                                           normalizer=bounds).items()
     }
     for section, exact in (("raw", acc.RAW_BY_AVG_EXACT),
                            ("normalized", acc.NORM_BY_AVG_EXACT)):
