@@ -92,7 +92,7 @@ class ReplicateStore:
             raise ValidationError(
                 f"replicates must be a nonempty 3-D array, got shape {reps.shape}"
             )
-        if reps.size and (reps.min() < 0.0 or reps.max() > 1.0):
+        if reps.size and not (reps.min() >= 0.0 and reps.max() <= 1.0):  # NaN fails both
             raise ValidationError("replicate accuracies must lie in [0, 1]")
         reps.setflags(write=False)
         object.__setattr__(self, "replicates", reps)

@@ -86,6 +86,20 @@ def positive_int(text: str) -> int:
     return value
 
 
+def format_set(text: str) -> set[str]:
+    """argparse type for --formats: the formats named in a comma list."""
+    formats = {part.strip() for part in text.split(",") if part.strip()}
+    unknown = formats - set(rpt.REPORT_FORMATS)
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown format(s) {sorted(unknown)}; choose from "
+            f"{', '.join(rpt.REPORT_FORMATS)}"
+        )
+    if not formats:
+        raise argparse.ArgumentTypeError("no output formats selected")
+    return formats
+
+
 def _add_common(p: _Parser, *, data: bool = True, outputs: bool = True) -> None:
     p.add_argument("--config", metavar="JSON",
                    help="JSON file of option defaults; flags override it")
@@ -98,9 +112,9 @@ def _add_common(p: _Parser, *, data: bool = True, outputs: bool = True) -> None:
                        default="counts",
                        help="schema of --eval (default: %(default)s)")
     if outputs:
-        p.add_argument("--out-dir", default="benchuq-out",
+        p.add_argument("--out-dir", type=Path, default="benchuq-out",
                        help="artifact directory (default: %(default)s)")
-        p.add_argument("--formats", default="markdown,csv,json",
+        p.add_argument("--formats", type=format_set, default="markdown,csv,json",
                        help="comma list from markdown,csv,json "
                             "(default: %(default)s)")
     p.add_argument("--seed", type=int, default=0,
@@ -108,13 +122,6 @@ def _add_common(p: _Parser, *, data: bool = True, outputs: bool = True) -> None:
     p.add_argument("--workers", type=positive_int, default=1,
                    help="accepted for compatibility and must be >= 1; all "
                         "work runs in one thread (default: %(default)s)")
-
-
-def _add_bootstrap_args(p: _Parser) -> None:
-    p.add_argument("--replicates", type=int, default=DEFAULT_REPLICATES,
-                   help="bootstrap replicates B (default: %(default)s)")
-    p.add_argument("--level", type=float, default=DISPLAY_LEVEL,
-                   help="interval level for leaderboards (default: %(default)s)")
 
 
 def _add_mcmc_args(p: _Parser) -> None:
@@ -146,11 +153,24 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     subs: dict[str, _Parser] = {}
 
-    def command(name: str, func, help_text: str, **kw) -> _Parser:
+    def command(name: str, func, help_text: str, *, replicates: str = "",
+                level: tuple[float, str] | None = None, normalized: str = "",
+                **kw) -> _Parser:
+        """Add a subcommand.  ``replicates`` and ``normalized`` give the help of
+        those options and ``level`` the default and help of ``--level``; each
+        option is added only when given."""
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.set_defaults(func=func)
         subs[name] = p
         _add_common(p, **kw)
+        if replicates:
+            p.add_argument("--replicates", type=int, default=DEFAULT_REPLICATES,
+                           help=f"{replicates} (default: %(default)s)")
+        if level:
+            p.add_argument("--level", type=float, default=level[0],
+                           help=f"{level[1]} (default: %(default)s)")
+        if normalized:
+            p.add_argument("--normalized", action="store_true", help=normalized)
         return p
 
     p = command("ingest", cmd_ingest,
@@ -162,34 +182,25 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                    help="allowed mean gap in percentage points "
                         "(default: %(default)s)")
 
-    p = command("bootstrap", cmd_bootstrap,
-                "Bootstrap interval leaderboard.")
-    _add_bootstrap_args(p)
-    p.add_argument("--normalized", action="store_true",
-                   help="add a normalized-accuracy column")
+    replicates_help = "bootstrap replicates B"
+    board_level = (DISPLAY_LEVEL, "interval level for leaderboards")
+    command("bootstrap", cmd_bootstrap, "Bootstrap interval leaderboard.",
+            replicates=replicates_help, level=board_level,
+            normalized="add a normalized-accuracy column")
 
-    p = command("bhm", cmd_bhm,
-                "Bayesian hierarchical-model interval leaderboard.")
-    p.add_argument("--level", type=float, default=DISPLAY_LEVEL,
-                   help="credible level (default: %(default)s)")
+    p = command("bhm", cmd_bhm, "Bayesian hierarchical-model interval leaderboard.",
+                level=(DISPLAY_LEVEL, "credible level"))
     _add_mcmc_args(p)
 
-    p = command("ranks", cmd_ranks,
-                "Rank-aggregation tables over bootstrap replicates.")
-    p.add_argument("--replicates", type=int, default=DEFAULT_REPLICATES,
-                   help="bootstrap replicates B (default: %(default)s)")
-    p.add_argument("--level", type=float, default=RANK_LEVEL,
-                   help="rank interval level (default: %(default)s)")
+    p = command("ranks", cmd_ranks, "Rank-aggregation tables over bootstrap replicates.",
+                replicates=replicates_help, level=(RANK_LEVEL, "rank interval level"),
+                normalized="also rank normalized accuracies")
     p.add_argument("--scheme", choices=[s.value for s in ALL_SCHEMES],
                    help="emit a single scheme (default: all five)")
-    p.add_argument("--normalized", action="store_true",
-                   help="also rank normalized accuracies")
 
-    p = command("simplex", cmd_simplex,
-                "Category-weight maps of the winning model.")
-    p.add_argument("--replicates", type=int, default=DEFAULT_REPLICATES,
-                   help="bootstrap replicates for normalization bounds "
-                        "(default: %(default)s)")
+    p = command("simplex", cmd_simplex, "Category-weight maps of the winning model.",
+                replicates="bootstrap replicates for normalization bounds",
+                normalized="also scan normalized accuracies")
     p.add_argument("--z", type=float,
                    help="margin threshold in SE units (default: scan both "
                         "built-in settings)")
@@ -197,12 +208,9 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                    help="between-model correlation (default: see --z)")
     p.add_argument("--grid-step", type=float, default=0.05,
                    help="weight grid resolution (default: %(default)s)")
-    p.add_argument("--normalized", action="store_true",
-                   help="also scan normalized accuracies")
 
-    p = command("report", cmd_report,
-                "Full leaderboard report: intervals, pairwise, ranks.")
-    _add_bootstrap_args(p)
+    p = command("report", cmd_report, "Full leaderboard report: intervals, pairwise, ranks.",
+                replicates=replicates_help, level=board_level)
     p.add_argument("--rank-level", type=float, default=RANK_LEVEL,
                    help="rank interval level (default: %(default)s)")
     p.add_argument("--no-bhm", action="store_true",
@@ -211,9 +219,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = command("simstudy", cmd_simstudy,
                 "Two-model simulation study with reproduction checks.",
-                data=False)
-    p.add_argument("--replicates", type=int, default=DEFAULT_REPLICATES,
-                   help="bootstrap replicates B (default: %(default)s)")
+                data=False, replicates=replicates_help)
     p.add_argument("--bootstrap-only", action="store_true",
                    help="print only the bootstrap interval; no BHM")
     _add_mcmc_args(p)
@@ -221,21 +227,13 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, subs
 
 
-def _apply_config(argv, parser: _Parser, subs: dict[str, _Parser]):
-    """Load --config JSON (if any) as defaults for the chosen subcommand."""
-    # The command must be the first token; anything else is a usage error
-    # that argparse reports on its own.
-    command = argv[0] if argv and argv[0] in subs else None
-    path = None
-    for k, arg in enumerate(argv):
-        if arg == "--config":
-            if k + 1 >= len(argv):
-                break  # argparse reports the missing value
-            path = argv[k + 1]
-        elif arg.startswith("--config="):
-            path = arg.split("=", 1)[1]
-    if path is None or command is None:
-        return
+def _parse_args(argv, parser: _Parser, subs: dict[str, _Parser]):
+    """Parse ``argv``.  A --config JSON file sets the chosen subcommand's
+    defaults, and ``argv`` is parsed again so that its flags override them."""
+    args = parser.parse_args(argv)
+    path = getattr(args, "config", None)
+    if path is None:
+        return args
     try:
         loaded = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -244,7 +242,7 @@ def _apply_config(argv, parser: _Parser, subs: dict[str, _Parser]):
         raise _UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(loaded, dict):
         raise _UsageError(f"config {path} must be a JSON object")
-    target = subs[command]
+    target = subs[args.command]
     # Keys are long option names without "--"; "_" may stand for "-".
     actions = {option[2:]: action for action in target._actions
                for option in action.option_strings if option.startswith("--")}
@@ -265,13 +263,14 @@ def _apply_config(argv, parser: _Parser, subs: dict[str, _Parser]):
             target.error(f"config {path}: {exc}")
         defaults[action.dest] = value
     target.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 # ------------------------------------------------------------------ helpers
 
 
 def _load_table(args) -> EvalTable:
-    if getattr(args, "eval_path", None) or getattr(args, "task_path", None):
+    if args.eval_path or args.task_path:
         if not (args.eval_path and args.task_path):
             raise _UsageError("--eval and --tasks must be given together")
         return load_eval_table(args.eval_path, args.task_path,
@@ -279,61 +278,50 @@ def _load_table(args) -> EvalTable:
     return load_vtab()
 
 
-def _using_fixture(args) -> bool:
-    return not getattr(args, "eval_path", None)
-
-
-def _formats(args) -> set[str]:
-    formats = {part.strip() for part in args.formats.split(",") if part.strip()}
-    unknown = formats - set(rpt.REPORT_FORMATS)
-    if unknown:
-        raise _UsageError(
-            f"unknown format(s) {sorted(unknown)}; choose from "
-            f"{', '.join(rpt.REPORT_FORMATS)}"
-        )
-    if not formats:
-        raise _UsageError("no output formats selected")
-    return formats
-
-
-def _emit_tables(out_dir: Path, stem: str, rows, columns, formats, *,
+def _emit_tables(args, stem: str, rows, columns, *,
                  scale: float = 100.0, label: str = "Model") -> list[Path]:
-    """Write one interval table as markdown and CSV, as ``formats`` selects.
+    """Write one interval table as markdown and CSV, as ``args.formats`` selects.
 
     ``rows`` is a list of (name, {column: IntervalEstimate}) pairs.
     """
     columns = list(columns)
     written = []
-    if "markdown" in formats:
+    if "markdown" in args.formats:
         headers, body = rpt.interval_table(rows, columns, scale=scale, label=label)
-        written.append(rpt.write_text(out_dir / f"{stem}.md",
+        written.append(rpt.write_text(args.out_dir / f"{stem}.md",
                                       rpt.markdown_table(headers, body)))
-    if "csv" in formats:
+    if "csv" in args.formats:
         headers, body = rpt.interval_csv_rows(rows, columns, label=label.lower())
-        written.append(rpt.write_text(out_dir / f"{stem}.csv",
+        written.append(rpt.write_text(args.out_dir / f"{stem}.csv",
                                       rpt.csv_table(headers, body)))
     return written
 
 
-def _finish(out_dir: Path, written: list[Path], formats, doc_name: str,
-            payload: dict) -> int:
-    if "json" in formats:
+def _finish(args, written: list[Path], doc_name: str, payload: dict) -> int:
+    if "json" in args.formats:
         written.append(
-            rpt.write_text(out_dir / doc_name, rpt.json_document(payload))
+            rpt.write_text(args.out_dir / doc_name, rpt.json_document(payload))
         )
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK
 
 
-def _mcmc_config(args) -> McmcConfig:
-    return McmcConfig(
-        total_iterations=args.iterations,
-        burn_in=args.burn_in,
-        thinning=args.thinning,
-        chains=args.chains,
-        seed=args.seed,
-    )
+def _bootstrap_column(store, args, normalizer=None) -> dict:
+    """Each model's bootstrap interval of its mean accuracy, normalized
+    against ``normalizer`` when given."""
+    return {m: aggregate_interval(store, m, normalizer=normalizer, level=args.level)
+            for m in store.source.models}
+
+
+def _bhm_column(table: EvalTable, args) -> tuple[dict, dict]:
+    """Each model's BHM credible interval of its mean accuracy, and the fit's
+    per-model diagnostics."""
+    draws = fit_bhm(table, priors=PriorSpec.exponential(args.prior_rate),
+                    config=McmcConfig(args.iterations, args.burn_in, args.thinning,
+                                      args.chains, args.seed))
+    column = {m: credible_interval(draws, m, level=args.level) for m in table.models}
+    return column, draws.diagnostics
 
 
 def _interval_rows(names, columns_by_label):
@@ -353,24 +341,21 @@ def _columns_payload(columns_by_label) -> dict:
     }
 
 
-def _leaderboard_order(models, estimates) -> list[str]:
-    return sorted(models, key=lambda m: (-estimates[m].point, models.index(m)))
+def _leaderboard(args, stem: str, columns) -> tuple[list[str], list[Path]]:
+    """Write interval ``columns`` as a table, best first by the first column's
+    points and ties in table order; return that order and the files written."""
+    first = next(iter(columns.values()))
+    order = sorted(first, key=lambda m: -first[m].point)
+    return order, _emit_tables(args, stem, _interval_rows(order, columns), columns)
 
 
-def _rank_sections(store, bounds, schemes, level, normalized):
-    """Rank tables per scheme, for raw and (optionally) normalized scores,
-    in one pass over the store."""
-    return rank_tables(store, schemes, level, normalizer=bounds if normalized else None)
-
-
-def _rank_table_files(out_dir, sections, formats):
+def _rank_table_files(args, sections):
     written = []
     for section, by_scheme in sections.items():
         columns = list(by_scheme)  # rank_tables keeps the schemes' order
         rows = [(first.model, {c: by_scheme[c][i].interval for c in columns})
                 for i, first in enumerate(by_scheme[columns[0]])]
-        written += _emit_tables(out_dir, f"ranks_{section}", rows, columns,
-                                formats, scale=1.0)
+        written += _emit_tables(args, f"ranks_{section}", rows, columns, scale=1.0)
     return written
 
 
@@ -402,7 +387,7 @@ def cmd_ingest(args) -> int:
     published = None
     if args.published:
         published = published_means_from_csv(args.published)
-    elif _using_fixture(args):
+    elif not args.eval_path:
         published = vtab_published_means()
     if published is None:
         print("no published means supplied; consistency check skipped")
@@ -420,22 +405,13 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
-    formats = _formats(args)
     table = _load_table(args)
-    out_dir = Path(args.out_dir)
     store = run_bootstrap(table, B=args.replicates, seed=args.seed)
-    raw = {m: aggregate_interval(store, m, level=args.level)
-           for m in table.models}
-    columns = {"Avg Acc (bootstrap)": raw}
+    columns = {"Avg Acc (bootstrap)": _bootstrap_column(store, args)}
     if args.normalized:
-        bounds = estimate_bounds(store)
-        columns["Avg Norm Acc (bootstrap)"] = {
-            m: aggregate_interval(store, m, normalizer=bounds, level=args.level)
-            for m in table.models
-        }
-    order = _leaderboard_order(list(table.models), raw)
-    written = _emit_tables(out_dir, "leaderboard_bootstrap",
-                           _interval_rows(order, columns), columns, formats)
+        columns["Avg Norm Acc (bootstrap)"] = _bootstrap_column(
+            store, args, estimate_bounds(store))
+    _, written = _leaderboard(args, "leaderboard_bootstrap", columns)
     payload = {
         "command": "bootstrap",
         "seed": args.seed,
@@ -443,28 +419,20 @@ def cmd_bootstrap(args) -> int:
         "level": args.level,
         "leaderboard": _columns_payload(columns),
     }
-    return _finish(out_dir, written, formats, "bootstrap.json", payload)
+    return _finish(args, written, "bootstrap.json", payload)
 
 
 def cmd_bhm(args) -> int:
-    formats = _formats(args)
     table = _load_table(args)
-    out_dir = Path(args.out_dir)
-    draws = fit_bhm(table, priors=PriorSpec.exponential(args.prior_rate),
-                    config=_mcmc_config(args))
-    column = {m: credible_interval(draws, m, level=args.level)
-              for m in table.models}
-    order = _leaderboard_order(list(table.models), column)
-    columns = {"Avg Acc (BHM)": column}
-    written = _emit_tables(out_dir, "leaderboard_bhm",
-                           _interval_rows(order, columns), columns, formats)
+    column, diagnostics = _bhm_column(table, args)
+    _, written = _leaderboard(args, "leaderboard_bhm", {"Avg Acc (BHM)": column})
     diag_rows = [
-        (m, repr(draws.diagnostics[m]["rhat"]), repr(draws.diagnostics[m]["ess"]))
+        (m, repr(diagnostics[m]["rhat"]), repr(diagnostics[m]["ess"]))
         for m in table.models
     ]
-    if "csv" in formats:
+    if "csv" in args.formats:
         written.append(rpt.write_text(
-            out_dir / "bhm_diagnostics.csv",
+            args.out_dir / "bhm_diagnostics.csv",
             rpt.csv_table(("model", "rhat", "ess"), diag_rows),
         ))
     payload = {
@@ -479,33 +447,28 @@ def cmd_bhm(args) -> int:
             "prior_rate": args.prior_rate,
         },
         "leaderboard": {m: rpt.interval_dict(est) for m, est in column.items()},
-        "diagnostics": draws.diagnostics,
+        "diagnostics": diagnostics,
     }
-    return _finish(out_dir, written, formats, "bhm.json", payload)
+    return _finish(args, written, "bhm.json", payload)
 
 
 def cmd_ranks(args) -> int:
-    formats = _formats(args)
-    table = _load_table(args)
-    out_dir = Path(args.out_dir)
-    store = run_bootstrap(table, B=args.replicates, seed=args.seed)
+    store = run_bootstrap(_load_table(args), B=args.replicates, seed=args.seed)
     bounds = estimate_bounds(store) if args.normalized else None
     schemes = ALL_SCHEMES if args.scheme is None else (RankScheme(args.scheme),)
-    sections = _rank_sections(store, bounds, schemes, args.level, args.normalized)
-    written = _rank_table_files(out_dir, sections, formats)
+    sections = rank_tables(store, schemes, args.level, normalizer=bounds)
+    written = _rank_table_files(args, sections)
     payload = {
         "command": "ranks",
         "seed": args.seed,
         "replicates": args.replicates,
         "ranks": _rank_payload(sections, args.level),
     }
-    return _finish(out_dir, written, formats, "ranks.json", payload)
+    return _finish(args, written, "ranks.json", payload)
 
 
 def cmd_simplex(args) -> int:
-    formats = _formats(args)
     table = _load_table(args)
-    out_dir = Path(args.out_dir)
     if (args.z is None) != (args.rho is None):
         raise _UsageError("--z and --rho must be given together")
     settings = SIMPLEX_SETTINGS if args.z is None else ((args.z, args.rho),)
@@ -523,11 +486,11 @@ def cmd_simplex(args) -> int:
                                  z=z, rho=rho, normalizer=bounds)
             fields.append((stem, field))
             name = f"{stem}_{z:g}_{rho:g}"
-            if "csv" in formats:
-                written.append(rpt.write_text(out_dir / f"{name}.csv",
+            if "csv" in args.formats:
+                written.append(rpt.write_text(args.out_dir / f"{name}.csv",
                                               rpt.simplex_csv(field)))
             svg = render_ternary(field)
-            written.append(rpt.write_text(out_dir / f"{name}.svg", svg))
+            written.append(rpt.write_text(args.out_dir / f"{name}.svg", svg))
     payload = {
         "command": "simplex",
         "grid_step": args.grid_step,
@@ -546,35 +509,20 @@ def cmd_simplex(args) -> int:
             for stem, field in fields
         ],
     }
-    return _finish(out_dir, written, formats, "simplex.json", payload)
+    return _finish(args, written, "simplex.json", payload)
 
 
 def cmd_report(args) -> int:
-    formats = _formats(args)
     table = _load_table(args)
-    out_dir = Path(args.out_dir)
     store = run_bootstrap(table, B=args.replicates, seed=args.seed)
     bounds = estimate_bounds(store)
 
-    boot = {m: aggregate_interval(store, m, level=args.level)
-            for m in table.models}
-    norm = {m: aggregate_interval(store, m, normalizer=bounds, level=args.level)
-            for m in table.models}
-    columns = {"Avg Acc (bootstrap)": boot}
+    columns = {"Avg Acc (bootstrap)": _bootstrap_column(store, args)}
     bhm_diag = None
     if not args.no_bhm:
-        draws = fit_bhm(table, priors=PriorSpec.exponential(args.prior_rate),
-                        config=_mcmc_config(args))
-        columns["Avg Acc (BHM)"] = {
-            m: credible_interval(draws, m, level=args.level)
-            for m in table.models
-        }
-        bhm_diag = draws.diagnostics
-    columns["Avg Norm Acc (bootstrap)"] = norm
-
-    order = _leaderboard_order(list(table.models), boot)
-    written = _emit_tables(out_dir, "leaderboard",
-                           _interval_rows(order, columns), columns, formats)
+        columns["Avg Acc (BHM)"], bhm_diag = _bhm_column(table, args)
+    columns["Avg Norm Acc (bootstrap)"] = _bootstrap_column(store, args, bounds)
+    order, written = _leaderboard(args, "leaderboard", columns)
 
     top = order[:PAIRWISE_TOP]
     pair_columns = {}
@@ -589,11 +537,10 @@ def cmd_report(args) -> int:
         }
         pair_rows = _interval_rows(list(pair_columns["Diff (bootstrap)"]),
                                    pair_columns)
-        written += _emit_tables(out_dir, "pairwise", pair_rows, pair_columns,
-                                formats, label="Pair")
+        written += _emit_tables(args, "pairwise", pair_rows, pair_columns, label="Pair")
 
-    sections = _rank_sections(store, bounds, ALL_SCHEMES, args.rank_level, True)
-    written += _rank_table_files(out_dir, sections, formats)
+    sections = rank_tables(store, ALL_SCHEMES, args.rank_level, normalizer=bounds)
+    written += _rank_table_files(args, sections)
 
     payload = {
         "command": "report",
@@ -607,7 +554,7 @@ def cmd_report(args) -> int:
     }
     if bhm_diag is not None:
         payload["bhm_diagnostics"] = bhm_diag
-    return _finish(out_dir, written, formats, "report.json", payload)
+    return _finish(args, written, "report.json", payload)
 
 
 def simulation_study_table() -> EvalTable:
@@ -635,8 +582,6 @@ SIMSTUDY_TOLERANCE = 0.005
 
 
 def cmd_simstudy(args) -> int:
-    formats = _formats(args)
-    out_dir = Path(args.out_dir)
     table = simulation_study_table()
     lines = []
     checks = []
@@ -662,7 +607,9 @@ def cmd_simstudy(args) -> int:
         "bootstrap": rpt.interval_dict(boot),
     }
     if not args.bootstrap_only:
-        draws = fit_bhm(table, priors=SIMSTUDY_PRIORS, config=_mcmc_config(args))
+        draws = fit_bhm(table, priors=SIMSTUDY_PRIORS,
+                        config=McmcConfig(args.iterations, args.burn_in, args.thinning,
+                                          args.chains, args.seed))
         a_minus_b = credible_interval(draws, "A", other="B", level=0.95)
         say(f"BHM 95% credible interval for the A-B theta difference: "
             f"{rpt.format_interval(a_minus_b, digits=3)}")
@@ -679,10 +626,10 @@ def cmd_simstudy(args) -> int:
     payload["checks"] = [{"label": label, "passed": ok} for label, ok in checks]
 
     written = []
-    if "markdown" in formats or "csv" in formats:
-        written.append(rpt.write_text(out_dir / "simstudy.txt",
+    if "markdown" in args.formats or "csv" in args.formats:
+        written.append(rpt.write_text(args.out_dir / "simstudy.txt",
                                       "\n".join(lines) + "\n"))
-    code = _finish(out_dir, written, formats, "simstudy.json", payload)
+    code = _finish(args, written, "simstudy.json", payload)
     if any(not ok for _, ok in checks):
         return EXIT_COMPUTE
     return code
@@ -692,12 +639,10 @@ def cmd_simstudy(args) -> int:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser, subs = build_parser()
     try:
         try:
-            _apply_config(argv, parser, subs)
-            args = parser.parse_args(argv)
+            args = _parse_args(argv, parser, subs)
         except SystemExit as exc:  # argparse already printed its message
             return int(exc.code or 0)
         if getattr(args, "command", None) is None:

@@ -36,7 +36,6 @@ found from each column's own keys.
 from __future__ import annotations
 
 import enum
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -188,14 +187,6 @@ def _geometric_mean(block):
     return gm, int(has_zero.sum())
 
 
-def _warn_caller(message):
-    """Warn for the nearest caller outside this module, however deep the call."""
-    level, frame = 2, sys._getframe(1)
-    while frame.f_globals.get("__name__") == __name__:
-        level, frame = level + 1, frame.f_back
-    warnings.warn(message, stacklevel=level)
-
-
 def _block_rank_sums(block, scored, schemes, noise, ws):
     """Doubled rank sums per (section, scheme) of one block.
 
@@ -274,14 +265,17 @@ def _section_rank_sums(values, schemes, sections, seed, normalizer):
         for section, count in zeros.items():
             n_zero[section] += count
 
+    # stacklevel 4 names the caller of rank_tables or rank_intervals, the
+    # public functions that reach this one through _rank_summaries.
     for section in sections:
         if section == "normalized" and n_outside:
-            _warn_caller(CLAMP_WARNING.format(n_outside))
+            warnings.warn(CLAMP_WARNING.format(n_outside), stacklevel=4)
         if n_zero[section]:
             scale = " on the normalized scale" if section == "normalized" else ""
-            _warn_caller(
+            warnings.warn(
                 f"{n_zero[section]} (sample, model) pair(s) have a zero accuracy{scale}; "
-                "their geometric mean is 0 and they rank last"
+                "their geometric mean is 0 and they rank last",
+                stacklevel=4,
             )
     return doubled
 
@@ -298,6 +292,9 @@ def _rank_summaries(samples, schemes, sections, level, seed, models, method, nor
         values = np.asarray(samples, dtype=float)
         if values.ndim != 3:
             raise ValidationError("expected a samples x models x tasks array")
+        if np.isnan(values).any():  # a NaN rank would fail later, naming no cell
+            cell = tuple(int(i) for i in np.argwhere(np.isnan(values))[0])
+            raise ValidationError(f"(sample, model, task) {cell} is NaN")
         if models is None:
             models = tuple(f"model_{i}" for i in range(values.shape[1]))
         seed = 0 if seed is None else seed

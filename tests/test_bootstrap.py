@@ -210,6 +210,10 @@ class TestRunBootstrap:
             ReplicateStore(
                 replicates=np.full((1, 1, 1), 1.5), seed=0, source=sim_study_table()
             )
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            ReplicateStore(
+                replicates=np.full((1, 1, 1), np.nan), seed=0, source=sim_study_table()
+            )
 
 
 class TestPercentileInterval:

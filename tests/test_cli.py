@@ -90,9 +90,10 @@ def test_eval_without_tasks_is_usage_error(capsys):
     assert "--eval and --tasks must be given together" in capsys.readouterr().err
 
 
-def test_bad_format_name_is_usage_error(tmp_path):
+def test_bad_format_name_is_usage_error(tmp_path, capsys):
     argv = ["bootstrap", "--out-dir", str(tmp_path), "--formats", "markdown,bogus"]
     assert run(argv) == EXIT_USAGE
+    assert "argument --formats: unknown format(s) ['bogus']" in capsys.readouterr().err
 
 
 def test_z_without_rho_is_usage_error(tmp_path):
@@ -134,6 +135,57 @@ def test_mcmc_flag_defaults_are_the_library_defaults():
         thinning=args.thinning, chains=args.chains,
     ) == McmcConfig()
     assert args.prior_rate == DEFAULT_PRIOR_RATE
+
+
+# Every subcommand's long options: {option: (dest, value of parse_args([]))}.
+# A change here renames, drops or re-defaults an option users may script.
+COMMON_OPTIONS = {"--config": ("config", None), "--seed": ("seed", 0),
+                  "--workers": ("workers", 1)}
+DATA_OPTIONS = {"--eval": ("eval_path", None), "--tasks": ("task_path", None),
+                "--input-format": ("input_format", "counts")}
+OUTPUT_OPTIONS = {"--out-dir": ("out_dir", Path("benchuq-out")),
+                  "--formats": ("formats", {"markdown", "csv", "json"})}
+MCMC_OPTIONS = {"--iterations": ("iterations", 12_000), "--burn-in": ("burn_in", 2_000),
+                "--thinning": ("thinning", 5), "--chains": ("chains", 4),
+                "--prior-rate": ("prior_rate", 1e-4), "--strict": ("strict", False)}
+OPTION_INVENTORY = {
+    "ingest": {**COMMON_OPTIONS, **DATA_OPTIONS, "--published": ("published", None),
+               "--tolerance": ("tolerance", 0.1)},
+    "bootstrap": {**COMMON_OPTIONS, **DATA_OPTIONS, **OUTPUT_OPTIONS,
+                  "--replicates": ("replicates", 10_000), "--level": ("level", 0.834),
+                  "--normalized": ("normalized", False)},
+    "bhm": {**COMMON_OPTIONS, **DATA_OPTIONS, **OUTPUT_OPTIONS,
+            "--level": ("level", 0.834), **MCMC_OPTIONS},
+    "ranks": {**COMMON_OPTIONS, **DATA_OPTIONS, **OUTPUT_OPTIONS,
+              "--replicates": ("replicates", 10_000), "--level": ("level", 0.95),
+              "--scheme": ("scheme", None), "--normalized": ("normalized", False)},
+    "simplex": {**COMMON_OPTIONS, **DATA_OPTIONS, **OUTPUT_OPTIONS,
+                "--replicates": ("replicates", 10_000), "--z": ("z", None),
+                "--rho": ("rho", None), "--grid-step": ("grid_step", 0.05),
+                "--normalized": ("normalized", False)},
+    "report": {**COMMON_OPTIONS, **DATA_OPTIONS, **OUTPUT_OPTIONS,
+               "--replicates": ("replicates", 10_000), "--level": ("level", 0.834),
+               "--rank-level": ("rank_level", 0.95), "--no-bhm": ("no_bhm", False),
+               **MCMC_OPTIONS},
+    "simstudy": {**COMMON_OPTIONS, **OUTPUT_OPTIONS,
+                 "--replicates": ("replicates", 10_000),
+                 "--bootstrap-only": ("bootstrap_only", False), **MCMC_OPTIONS},
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTION_INVENTORY))
+def test_option_inventory_is_frozen(command):
+    _, subs = build_parser()
+    assert set(subs) == set(OPTION_INVENTORY)
+    parser = subs[command]
+    args = vars(parser.parse_args([]))
+    found = {option: (action.dest, args[action.dest]) for action in parser._actions
+             for option in action.option_strings
+             if option.startswith("--") and option != "--help"}
+    assert found == OPTION_INVENTORY[command]
+    # Equality alone would accept 10000.0 for 10000, or 0 for False.
+    for dest, value in OPTION_INVENTORY[command].values():
+        assert type(args[dest]) is type(value), dest
 
 
 # ------------------------------------------------------------------- config
@@ -181,6 +233,7 @@ def test_config_missing_file_is_usage_error(tmp_path):
         ("report", {"no_bhm": 1}, "--no-bhm"),
         # Keys are option names, not argparse's internal destinations.
         ("bootstrap", {"eval_path": 3, "task_path": "tasks.csv"}, "'eval_path'"),
+        ("simstudy", {"formats": "csv,bogus"}, "--formats"),
     ],
 )
 def test_config_value_of_wrong_type_or_choice_is_usage_error(
@@ -653,8 +706,8 @@ def test_normalized_rank_tables_hold_no_copy_of_the_store():
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            sections = cli._rank_sections(store, bounds, cli.ALL_SCHEMES,
-                                          cli.RANK_LEVEL, True)
+            sections = cli.rank_tables(store, cli.ALL_SCHEMES, cli.RANK_LEVEL,
+                                       normalizer=bounds)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -675,7 +728,7 @@ def test_normalized_rank_section_normalizes_each_block_once(monkeypatch):
     monkeypatch.setattr(ranking_mod, "_clamped_scores", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        cli._rank_sections(store, bounds, cli.ALL_SCHEMES, cli.RANK_LEVEL, True)
+        cli.rank_tables(store, cli.ALL_SCHEMES, cli.RANK_LEVEL, normalizer=bounds)
     step = ranking_mod._BLOCK_CELLS // store.replicates[0].size
     assert len(rows) == -(-store.n_replicates // step) > 1
     assert sum(rows) == store.n_replicates
@@ -709,7 +762,7 @@ def test_rank_sections_rank_in_one_pass_and_draw_the_noise_once(monkeypatch):
     monkeypatch.setattr(ranking_mod._rng, "substream", counted_substream)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        sections = cli._rank_sections(store, bounds, cli.ALL_SCHEMES, cli.RANK_LEVEL, True)
+        sections = cli.rank_tables(store, cli.ALL_SCHEMES, cli.RANK_LEVEL, normalizer=bounds)
     assert list(sections) == ["raw", "normalized"]
     assert passes == [("raw", "normalized")]
     # Both noise columns share each block's normals: S x M x T in all.

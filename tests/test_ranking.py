@@ -248,6 +248,10 @@ def test_rank_intervals_validation(store):
         rank_intervals(
             np.zeros((3, 2, 2)), RankScheme.BY_AVERAGE, models=("only-one",)
         )
+    nan_cell = np.zeros((3, 2, 2))
+    nan_cell[1, 0, 1] = np.nan
+    with pytest.raises(ValidationError, match=r"\(sample, model, task\) \(1, 0, 1\) is NaN"):
+        rank_intervals(nan_cell, RankScheme.AVERAGE_RANK)
 
 
 def test_rank_intervals_geometric_mean_orders_like_average_when_flat(store):

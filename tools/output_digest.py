@@ -8,7 +8,8 @@ Usage (from the repository root):
 
 Each command runs as ``python -m benchuq.cli`` with ``PYTHONPATH=<--src>``,
 ``--seed 0`` and its own ``--out-dir`` inside a fresh temporary directory.
-The wide table comes from ``perfbench/gen.py --seed 1`` next to this script.
+The wide table comes from ``perfbench/gen.py --seed 1`` next to this script,
+and the ``--config`` file of ``report-config`` is written beside it.
 The script prints one ``sha256  command/relative/path`` line per output file,
 sorted, and then the sha256 of that listing.  Two checkouts whose listings
 hash the same wrote byte-identical output trees.  It exits 1 if any command
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -31,6 +33,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WIDE = "{wide}"  # replaced by the generated table's directory
+CONFIG = "{config}"  # replaced by the path of CONFIG_JSON, written per run
+# Options that ``report-config`` takes from its --config file, not its argv.
+CONFIG_JSON = {"no-bhm": True, "replicates": 500, "rank-level": 0.9}
 
 # (output directory name, arguments after ``benchuq``)
 COMMANDS = (
@@ -45,6 +50,12 @@ COMMANDS = (
                     f"--eval {WIDE}/counts.csv --tasks {WIDE}/tasks.csv"),
     ("wide-simplex", f"simplex --normalized --replicates 1000 --grid-step 0.01 "
                      f"--eval {WIDE}/counts.csv --tasks {WIDE}/tasks.csv"),
+    ("bootstrap-raw", "bootstrap --replicates 1000"),
+    ("ranks-noise", "ranks --scheme average-rank-noise --replicates 1000"),
+    ("simplex-setting", "simplex --z 1.5 --rho 0.25"),
+    ("simstudy-bootstrap", "simstudy --bootstrap-only"),
+    ("report-markdown", "report --no-bhm --replicates 1000 --formats markdown"),
+    ("report-config", f"report --config {CONFIG}"),
 )
 
 
@@ -72,9 +83,11 @@ def main(argv=None) -> int:
         subprocess.run([sys.executable, str(ROOT / "perfbench" / "gen.py"),
                         "--seed", "1", "--out-dir", str(wide)],
                        check=True, stdout=subprocess.DEVNULL)
+        config = tmp / "config.json"
+        config.write_text(json.dumps(CONFIG_JSON))
         out_root = tmp / "out"
         for name, command in COMMANDS:
-            argv_ = command.replace(WIDE, str(wide)).split()
+            argv_ = command.replace(WIDE, str(wide)).replace(CONFIG, str(config)).split()
             start = time.perf_counter()
             with subprocess.Popen(
                 [sys.executable, "-m", "benchuq.cli", *argv_, "--seed", "0",
