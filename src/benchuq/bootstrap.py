@@ -80,26 +80,57 @@ class IntervalEstimate:
 
 @dataclass(frozen=True)
 class ReplicateStore:
-    """Immutable block of bootstrap accuracies, replicates x models x tasks."""
+    """Immutable block of bootstrap success counts, replicates x models x tasks.
 
-    replicates: np.ndarray = field(repr=False)
+    ``counts[r, i, j]`` is model i's count of successes on task j's N_j
+    items in replicate r, held in the narrowest unsigned type that holds
+    the largest N_j.  The accuracies are ``counts / N_j``.
+    """
+
+    counts: np.ndarray = field(repr=False)
+    source: EvalTable
     seed: int = 0
-    source: EvalTable = None
 
     def __post_init__(self):
-        reps = np.asarray(self.replicates, dtype=float)
-        if reps.ndim != 3 or reps.shape[0] < 1:
+        counts = np.asarray(self.counts)
+        shape = (len(self.source.models), len(self.source.tasks))
+        if counts.ndim != 3 or counts.shape[0] < 1 or counts.shape[1:] != shape:
             raise ValidationError(
-                f"replicates must be a nonempty 3-D array, got shape {reps.shape}"
+                f"counts must be a nonempty 3-D array of shape (B, {shape[0]}, "
+                f"{shape[1]}), got shape {counts.shape}"
             )
-        if reps.size and not (reps.min() >= 0.0 and reps.max() <= 1.0):  # NaN fails both
-            raise ValidationError("replicate accuracies must lie in [0, 1]")
-        reps.setflags(write=False)
-        object.__setattr__(self, "replicates", reps)
+        if not np.issubdtype(counts.dtype, np.integer):
+            raise ValidationError(f"counts must be integers, got dtype {counts.dtype}")
+        sizes = self.source.sizes
+        if counts.size:
+            low, high = counts.min(axis=(0, 1)), counts.max(axis=(0, 1))
+            bad = np.flatnonzero((low < 0) | (high > sizes))
+            if bad.size:
+                j = bad[0]
+                raise ValidationError(
+                    f"task {self.source.tasks[j].task_id!r}: counts span "
+                    f"[{low[j]}, {high[j]}], outside [0, N={sizes[j]}]"
+                )
+        counts = counts.astype(_count_dtype(sizes), copy=False)
+        counts.setflags(write=False)
+        object.__setattr__(self, "counts", counts)
 
     @property
     def n_replicates(self) -> int:
-        return self.replicates.shape[0]
+        return self.counts.shape[0]
+
+    @property
+    def replicates(self) -> np.ndarray:
+        """The accuracies ``counts / N_j`` as a new read-only float64 array,
+        8 bytes per cell, built whole on every access."""
+        accuracies = self.counts / self.source.sizes
+        accuracies.setflags(write=False)
+        return accuracies
+
+
+def _count_dtype(sizes) -> np.dtype:
+    """The narrowest unsigned type that holds every count up to ``sizes``."""
+    return np.min_scalar_type(int(sizes.max(initial=0)))
 
 
 _MEMINFO = Path("/proc/meminfo")
@@ -166,34 +197,36 @@ def run_bootstrap(
 ) -> ReplicateStore:
     """Draw B bootstrap replicates of the whole table.
 
-    Every replicate draws each cell (i, j) as Y*_ij / N_j with Y*_ij ~
+    Every replicate draws each cell (i, j) as the count Y*_ij ~
     Binomial(N_j, Y_ij / N_j).  Replicates r in [64 b, 64 b + 64) come from
     one call on the substream keyed on (seed, BOOTSTRAP, b), drawn cell-major:
     the 64 draws of cell (0, 0), then of cell (0, 1), and so on in row-major
     cell order.  The last block is drawn whole and cut, so replicate r is
     bit-identical in every store drawn with the same seed, whatever B.
-    Raises a capacity error before allocating if the replicate block would
-    not fit in the memory currently available.
+    Raises a capacity error before allocating if the store would not fit in
+    the memory currently available.
     """
     if B < 1:
         raise ValidationError(f"replicate count must be >= 1, got {B}")
     n_models, n_tasks = table.counts.shape
-    requested = B * n_models * n_tasks * np.dtype(float).itemsize
+    sizes = table.sizes
+    dtype = _count_dtype(sizes)
+    requested = B * n_models * n_tasks * dtype.itemsize
     available = _available_bytes()
     if available is not None and requested > available:
         raise CapacityError(requested, available)
 
-    out = np.empty((B, n_models, n_tasks))
-    sizes = table.sizes[:, None]
+    out = np.empty((B, n_models, n_tasks), dtype=dtype)
     p_hat = accuracy_of(table).values[..., None]
     shape = (n_models, n_tasks, _BLOCK)
     for block, lo in enumerate(range(0, B, _BLOCK)):
         gen = _rng.substream(seed, _rng.BOOTSTRAP, block)
         hi = min(lo + _BLOCK, B)
         # Unnamed, so each block's draws are freed before the next is drawn.
-        np.divide(gen.binomial(sizes, p_hat, size=shape)[..., :hi - lo], sizes,
-                  out=out[lo:hi].transpose(1, 2, 0))
-    return ReplicateStore(replicates=out, seed=seed, source=table)
+        np.copyto(out[lo:hi].transpose(1, 2, 0),
+                  gen.binomial(sizes[:, None], p_hat, size=shape)[..., :hi - lo],
+                  casting="unsafe")
+    return ReplicateStore(counts=out, seed=seed, source=table)
 
 
 def percentile_interval(samples, level: float):
@@ -247,10 +280,11 @@ def _replicate_statistics(
     weights: WeightVector | None,
     normalizer: NormalizationBounds | None,
 ) -> np.ndarray:
-    values = store.replicates[:, store.source.model_index(model), :]
+    source = store.source
+    values = store.counts[:, source.model_index(model), :] / source.sizes
     if normalizer is not None:
         values = normalize_scores(values, normalizer)
-    return values @ resolve_task_weights(weights, store.source.tasks)
+    return values @ resolve_task_weights(weights, source.tasks)
 
 
 def aggregate_interval(

@@ -251,6 +251,8 @@ def _parse_args(argv, parser: _Parser, subs: dict[str, _Parser]):
         action = actions.get(key.replace("_", "-"))
         if action is None:
             target.error(f"config {path}: unknown option {key!r}")
+        if action.dest in ("config", "help"):  # a default of either does nothing
+            target.error(f"config {path}: option {key!r} cannot be set in a config file")
         # argparse checks only what it parses: a flag takes a JSON boolean,
         # and any other value goes through str and its option's type and choices.
         try:

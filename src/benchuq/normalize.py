@@ -53,11 +53,14 @@ class NormalizationBounds:
 
 def estimate_bounds(store) -> NormalizationBounds:
     """Per-task extremes over every model and replicate in a bootstrap store."""
-    reps = store.replicates
-    if reps.size == 0:
+    counts = store.counts
+    if counts.size == 0:
         raise ValidationError("empty replicate store")
-    low = reps.min(axis=(0, 1))
-    high = reps.max(axis=(0, 1))
+    # Dividing by a fixed N_j is monotone in IEEE arithmetic, so the
+    # extreme counts divide to the extreme accuracies exactly.
+    sizes = store.source.sizes
+    low = counts.min(axis=(0, 1)) / sizes
+    high = counts.max(axis=(0, 1)) / sizes
     task_ids = tuple(t.task_id for t in store.source.tasks)
     return NormalizationBounds(tasks=task_ids, low=low, high=high)
 

@@ -98,7 +98,8 @@ class _Workspace:
         # signed type that holds them: the running maxima go at that width.
         self.scans = np.empty((4, cells), dtype=np.min_scalar_type(-n_models))
         self.breaks = np.empty(cells, dtype=bool)
-        self.negated, self.sorted, self.keys, self.noise = np.empty((4, cells))
+        self.negated, self.sorted, self.keys, self.noise, self.accuracies = np.empty(
+            (5, cells))
 
 
 def _sort_order(values, ws):
@@ -231,10 +232,15 @@ def _block_rank_sums(block, scored, schemes, noise, ws):
     return sums, zeros
 
 
-def _section_rank_sums(values, schemes, sections, seed, normalizer):
+def _section_rank_sums(samples, schemes, sections, seed, normalizer):
     """Models x samples doubled rank sums per (section, scheme), in one pass
-    over ``values``: each block is normalized once and its noise drawn once
-    for every section."""
+    over ``samples``: each block is normalized once and its noise drawn once
+    for every section.  A ReplicateStore's blocks are divided out of its
+    counts into the workspace; an array's blocks are views of it."""
+    if isinstance(samples, ReplicateStore):
+        values, sizes = samples.counts, samples.source.sizes
+    else:
+        values, sizes = samples, None
     n_samples, n_models, n_tasks = values.shape
     step = max(1, _BLOCK_CELLS // (n_models * n_tasks))
     ws = _Workspace(min(n_samples, step) * n_models * n_tasks, n_models)
@@ -248,6 +254,9 @@ def _section_rank_sums(values, schemes, sections, seed, normalizer):
     n_outside = 0
     for lo in range(0, n_samples, step):
         block = values[lo : lo + step]
+        if sizes is not None:
+            block = np.divide(block, sizes,
+                              out=ws.accuracies[: block.size].reshape(block.shape))
         scored = {}
         for section in sections:
             if section == "raw":
@@ -284,7 +293,7 @@ def _rank_summaries(samples, schemes, sections, level, seed, models, method, nor
     """``{section: {scheme value: [RankSummary per model]}}`` of ``sections``."""
     schemes = list(dict.fromkeys(RankScheme(scheme) for scheme in schemes))
     if isinstance(samples, ReplicateStore):
-        values = samples.replicates
+        values, shape = samples, samples.counts.shape
         models = samples.source.models if models is None else models
         seed = samples.seed if seed is None else seed
         method = "bootstrap-percentile" if method is None else method
@@ -299,7 +308,8 @@ def _rank_summaries(samples, schemes, sections, level, seed, models, method, nor
             models = tuple(f"model_{i}" for i in range(values.shape[1]))
         seed = 0 if seed is None else seed
         method = "bhm-posterior-predictive" if method is None else method
-    n_samples, n_models, n_tasks = values.shape
+        shape = values.shape
+    n_samples, n_models, n_tasks = shape
     if n_samples < 2:
         raise ValidationError("need at least 2 samples for rank intervals")
     if n_models == 0 or n_tasks == 0:

@@ -106,11 +106,14 @@ def simplex_csv(field: SimplexField) -> str:
 
     Weight columns follow the field's category order.
     """
-    rows = (
-        [f"{w:.6g}" for w in cell.weights] + [cell.winner, f"{cell.margin:.6g}"]
-        for cell in field.cells
-    )
-    return csv_table(("w_nat", "w_sp", "w_str", "winner", "margin_se"), rows)
+    # csv.writer's quoting of each distinct winner, cut from a two-field row;
+    # "%.6g" rounds as f"{x:.6g}" does.
+    winner = {name: csv_table((name, ""), ())[:-2]
+              for name in {cell.winner for cell in field.cells}}
+    rows = "".join("%.6g,%.6g,%.6g,%s,%.6g\n" % (*cell.weights, winner[cell.winner],
+                                                   cell.margin)
+                   for cell in field.cells)
+    return csv_table(("w_nat", "w_sp", "w_str", "winner", "margin_se"), ()) + rows
 
 
 def write_text(path, content: str) -> Path:

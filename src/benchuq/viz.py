@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from html import escape
+from operator import add
 from pathlib import Path
 
 from .errors import ValidationError
@@ -151,23 +152,26 @@ def render_ternary(field: SimplexField, path=None) -> str:
         for k in range(6)
     ]
 
+    # Stroke in the fill color hides hairline gaps between cells.  "%.2f"
+    # rounds as _fmt does; the template formats a whole hexagon at once.
+    cell_svg = '<polygon points="%s" fill="%s" stroke="%s" stroke-width="0.5"/>'
+    hexagon = cell_svg % (" ".join(["%.2f,%.2f"] * 6), "%s", "%s")
+    offsets = [d for offset in hex_offsets for d in offset]
     body = []
     for cell in field.cells:
         w0, w1, w2 = cell.weights
         cx = w0 * v_br[0] + w1 * v_top[0] + w2 * v_bl[0]
         cy = w0 * v_br[1] + w1 * v_top[1] + w2 * v_bl[1]
-        poly = [(cx + dx, cy + dy) for dx, dy in hex_offsets]
+        fill = color[cell.winner]
         # An interior lattice point lies 0.87 spacings from every edge and
         # its hexagon reaches only 0.58, so only edge cells need clipping.
-        if min(cell.weights) == 0.0:
-            poly = _clip_to_triangle(poly, triangle)
-        fill = color[cell.winner]
+        if min(cell.weights) > 0.0:
+            body.append(hexagon % (*map(add, (cx, cy) * 6, offsets), fill, fill))
+            continue
+        poly = _clip_to_triangle([(cx + dx, cy + dy) for dx, dy in hex_offsets],
+                                 triangle)
         pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in poly)
-        # Stroke in the fill color hides hairline gaps between cells.
-        body.append(
-            f'<polygon points="{pts}" fill="{fill}" stroke="{fill}" '
-            'stroke-width="0.5"/>'
-        )
+        body.append(cell_svg % (pts, fill, fill))
 
     tri_pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in triangle)
     body.append(

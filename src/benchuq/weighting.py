@@ -48,6 +48,10 @@ _SUM_TOL = 1e-12
 # rescaling of the scores must not split or merge the tie.
 _TIE_RTOL = 1e-12
 
+# simplex_scan scores this many grid cells at a time, so its cells x models
+# temporaries stay near 256 KiB on a 64-model table however fine the grid.
+_SCAN_CELLS = 512
+
 
 @dataclass(frozen=True)
 class WeightVector:
@@ -225,17 +229,18 @@ def _top_two(scores: np.ndarray, variances: np.ndarray, z: float, rho: float):
     """
     if scores.shape[1] == 1:
         return np.zeros(len(scores), dtype=np.intp), np.full(len(scores), math.inf)
-    order = np.argsort(-scores, axis=1, kind="stable")
-    ranked = np.take_along_axis(scores, order, axis=1)
-    top, first, second = order[:, 0], ranked[:, 0], ranked[:, 1]
-    # Descending order makes the tie test a prefix of each row, which is
-    # where a scan from the runner-up down would stop.
-    tied = second[:, None] - ranked[:, 1:] <= _TIE_RTOL * np.abs(first)[:, None]
-    ranked_vars = np.take_along_axis(variances, order, axis=1)
-    se = difference_se(ranked_vars[:, :1], ranked_vars[:, 1:], rho)
-    gap = first[:, None] - ranked[:, 1:]
+    rows = np.arange(len(scores))
+    top = scores.argmax(axis=1)
+    first = scores[rows, top]
+    others = scores.copy()
+    others[rows, top] = -math.inf
+    second = others.max(axis=1)
+    # The top model sits at -inf in ``others``, so it is never tied with
+    # second place; a min over the tied set does not depend on its order.
+    tied = second[:, None] - others <= _TIE_RTOL * np.abs(first)[:, None]
+    se = difference_se(variances[rows, top][:, None], variances, rho)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(se > 0, gap / se, math.inf)
+        ratio = np.where(se > 0, (first[:, None] - scores) / se, math.inf)
     margin = np.where(tied, ratio, math.inf).min(axis=1)
     exact_tie = second == first
     margin[exact_tie] = 0.0
@@ -307,11 +312,17 @@ def simplex_scan(
     # Grid counts (a, b, steps - a - b), a ascending, then b ascending.
     a, ab = np.triu_indices(steps + 1)
     W = np.stack([a, ab - a, steps - ab], axis=1) / steps
-    # The stacked matmul matches a per-cell ``cat_means @ w`` to the last bit
-    # (``W @ cat_means.T`` does not), which keeps winner maps byte-identical.
-    cell_scores = np.matmul(cat_means[None], W[:, :, None])[..., 0]
-    cell_vars = np.matmul(cat_vars[None], (W**2)[:, :, None])[..., 0]
-    idx, margins = _top_two(cell_scores, cell_vars, z, rho)
+    idx = np.empty(len(W), dtype=np.intp)
+    margins = np.empty(len(W))
+    for lo in range(0, len(W), _SCAN_CELLS):
+        w = W[lo : lo + _SCAN_CELLS]
+        # The stacked matmul matches a per-cell ``cat_means @ w`` to the last
+        # bit (``w @ cat_means.T`` does not), which keeps winner maps
+        # byte-identical.
+        cell_scores = np.matmul(cat_means[None], w[:, :, None])[..., 0]
+        cell_vars = np.matmul(cat_vars[None], (w**2)[:, :, None])[..., 0]
+        idx[lo : lo + len(w)], margins[lo : lo + len(w)] = _top_two(
+            cell_scores, cell_vars, z, rho)
     # Index -1 (indeterminate) picks the label appended after the models.
     names = np.array(table.models + (INDETERMINATE,), dtype=object)[idx]
     cells = tuple(

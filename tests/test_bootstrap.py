@@ -131,7 +131,7 @@ class TestRunBootstrap:
         table = sim_study_table()
         with pytest.raises(CapacityError) as err:
             run_bootstrap(table, B=10_000, seed=0)
-        assert err.value.requested_bytes == 10_000 * 2 * 3 * 8
+        assert err.value.requested_bytes == 10_000 * 2 * 3 * 2  # uint16 counts
         assert err.value.available_bytes == 1024
 
     @pytest.mark.parametrize(
@@ -199,21 +199,63 @@ class TestRunBootstrap:
         finally:
             tracemalloc.stop()
         block = 64 * 64 * 57 * 8
-        assert peak <= store.replicates.nbytes + 2 * block
+        assert peak <= store.counts.nbytes + 2 * block
 
     def test_invalid_b_rejected(self):
         with pytest.raises(ValidationError, match=">= 1"):
             run_bootstrap(sim_study_table(), B=0)
 
     def test_store_rejects_out_of_range_accuracies(self):
-        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
-            ReplicateStore(
-                replicates=np.full((1, 1, 1), 1.5), seed=0, source=sim_study_table()
-            )
-        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
-            ReplicateStore(
-                replicates=np.full((1, 1, 1), np.nan), seed=0, source=sim_study_table()
-            )
+        # Accuracies outside [0, 1] are counts outside [0, N_j].
+        table = sim_study_table()
+        for value in (201, -1):
+            with pytest.raises(ValidationError, match=rf"'t0': counts span \[{value}, "
+                                                      rf"{value}\], outside \[0, N=200\]"):
+                ReplicateStore(counts=np.full((1, 2, 3), value), seed=0, source=table)
+
+    @pytest.mark.parametrize(
+        "counts, match",
+        [
+            (np.full((1, 2, 3), 0.5), "integers"),
+            (np.full((1, 2, 3), np.nan), "integers"),
+            (np.zeros((2, 3), dtype=int), "3-D"),
+            (np.zeros((1, 3, 2), dtype=int), r"shape \(B, 2, 3\), got shape \(1, 3, 2\)"),
+        ],
+    )
+    def test_store_rejects_counts_that_are_not_integer_cells(self, counts, match):
+        with pytest.raises(ValidationError, match=match):
+            ReplicateStore(counts=counts, seed=0, source=sim_study_table())
+
+    @pytest.mark.parametrize(
+        "sizes, dtype",
+        [([200, 255], np.uint8), ([200, 10_000, 20_000], np.uint16),
+         ([200, 65_536], np.uint32)],
+    )
+    def test_store_counts_take_the_narrowest_unsigned_type(self, sizes, dtype):
+        table = table_of([[n // 2 for n in sizes]], sizes)
+        store = run_bootstrap(table, B=3, seed=0)
+        assert store.counts.dtype == dtype
+        # Counts given in a wider type are narrowed the same way.
+        wide = ReplicateStore(counts=store.counts.astype(np.int64), seed=0, source=table)
+        assert wide.counts.dtype == dtype
+
+    def test_replicates_equal_the_accuracies_drawn_directly(self):
+        # B = 130 cuts the third block after two replicates.  The reference
+        # divides each block's draws by N_j, as a float64 store was filled.
+        table = sim_study_table()
+        store = run_bootstrap(table, B=130, seed=4)
+        sizes = table.sizes[:, None]
+        p_hat = (table.counts / table.sizes[None, :])[..., None]
+        blocks = [
+            rng_mod.substream(4, rng_mod.BOOTSTRAP, b).binomial(sizes, p_hat, size=(2, 3, 64))
+            / sizes
+            for b in range(3)
+        ]
+        expected = np.concatenate(blocks, axis=2).transpose(2, 0, 1)[:130]
+        replicates = store.replicates
+        assert replicates.dtype == np.float64 and not replicates.flags.writeable
+        assert np.array_equal(replicates, expected)
+        assert not store.counts.flags.writeable
 
 
 class TestPercentileInterval:

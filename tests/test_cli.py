@@ -212,6 +212,17 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys):
     assert "unknown option" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("config", "nested.json"), ("help", True)])
+def test_config_key_that_sets_nothing_is_usage_error(key, value, tmp_path, capsys):
+    # A default of --config or --help has no effect, so the key is refused.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    argv = ["bootstrap", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+    assert run(argv) == EXIT_USAGE
+    assert f"option {key!r} cannot be set in a config file" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_must_be_object(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2]")
@@ -786,7 +797,7 @@ def test_simplex_frees_the_store_before_its_scans(tmp_path, monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    store_bytes = TRACED_B * 16 * 19 * 8
+    store_bytes = TRACED_B * 16 * 19 * run_bootstrap(benchuq.load_vtab(), B=1).counts.itemsize
     assert len(held) == 4
     assert max(held) < store_bytes
     assert peak < 2 * store_bytes

@@ -20,15 +20,16 @@ def small_table():
 
 
 def store_from(values):
-    values = np.asarray(values, dtype=float)
+    # Accuracies in hundredths, stored as counts out of N = 100.
+    counts = np.rint(np.asarray(values, dtype=float) * 100).astype(int)
     table = EvalTable(
-        models=tuple(f"m{i}" for i in range(values.shape[1])),
+        models=tuple(f"m{i}" for i in range(counts.shape[1])),
         tasks=tuple(
-            TaskSpec(f"t{j}", "c", 100) for j in range(values.shape[2])
+            TaskSpec(f"t{j}", "c", 100) for j in range(counts.shape[2])
         ),
-        counts=(values[0] * 100).astype(int),
+        counts=counts[0],
     )
-    return ReplicateStore(replicates=values, seed=0, source=table)
+    return ReplicateStore(counts=counts, seed=0, source=table)
 
 
 class TestBounds:

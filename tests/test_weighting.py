@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchuq import weighting
 from benchuq.core import EvalTable, TaskSpec
 from benchuq.errors import ValidationError
 from benchuq.weighting import (
@@ -244,6 +245,37 @@ class TestDecideWinner:
         assert margin2 == pytest.approx(margin, rel=1e-9)
 
 
+def sorted_top_two(scores, variances, z, rho):
+    """Reference rule: sort each row, then test the runners-up tied at second."""
+    order = np.argsort(-scores, axis=1, kind="stable")
+    ranked = np.take_along_axis(scores, order, axis=1)
+    first, second = ranked[:, 0], ranked[:, 1]
+    tied = second[:, None] - ranked[:, 1:] <= 1e-12 * np.abs(first)[:, None]
+    ranked_vars = np.take_along_axis(variances, order, axis=1)
+    se = difference_se(ranked_vars[:, :1], ranked_vars[:, 1:], rho)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(se > 0, (first[:, None] - ranked[:, 1:]) / se, math.inf)
+    margin = np.where(tied, ratio, math.inf).min(axis=1)
+    exact_tie = second == first
+    margin[exact_tie] = 0.0
+    return np.where(~exact_tie & (margin >= z), order[:, 0], -1), margin
+
+
+def test_top_two_equals_the_sorted_rule():
+    # Scores on a coarse grid give exact ties, and a relative 1e-13 nudge
+    # gives near-ties, for first and for second place.
+    gen = np.random.default_rng(8)
+    scores = gen.integers(0, 6, size=(4000, 5)) / 10.0
+    nudged = gen.random(scores.shape) < 0.2
+    scores[nudged] *= 1.0 + 1e-13
+    variances = gen.choice([0.0, 1e-4, 2e-3], size=scores.shape)
+    for rho in (0.0, 0.5, 1.0):
+        idx, margin = weighting._top_two(scores, variances, 1.5, rho)
+        ref_idx, ref_margin = sorted_top_two(scores, variances, 1.5, rho)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(margin, ref_margin)
+
+
 def gapped_table():
     # Each category has a different runaway winner; N large enough that
     # vertex margins are enormous.
@@ -312,3 +344,9 @@ class TestSimplexScan:
         field = simplex_scan(gapped_table(), self.CATS, grid_step=0.5)
         assert set(field.winners()) <= {"nat-pro", "spec-pro", "str-pro"}
         assert isinstance(field, SimplexField)
+
+    def test_scan_in_small_blocks_equals_the_default_field(self, monkeypatch):
+        # 5151 cells in blocks of 7 end on a cut block of 6.
+        default = simplex_scan(gapped_table(), self.CATS, grid_step=0.01, rho=0.5)
+        monkeypatch.setattr(weighting, "_SCAN_CELLS", 7)
+        assert simplex_scan(gapped_table(), self.CATS, grid_step=0.01, rho=0.5) == default
