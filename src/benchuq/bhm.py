@@ -20,6 +20,8 @@ posterior, and a fine grid refits it to the mass and resolves it (see
 jittered uniformly within its cell, and theta follows from its conjugate
 Beta.  The draws are independent.  A fixed hyperparameter leaves a 1-D
 grid in the other's log, and two leave plain conjugate draws.
+Posterior-predictive accuracies are left to the caller, who draws them
+from ``PosteriorDraws.theta``.
 
 The log-gamma values come from :func:`_lgamma`, in numpy alone: a warm
 ``import scipy.special`` costs about a third of a second and 15 MiB, more
@@ -48,11 +50,9 @@ __all__ = [
     "PriorSpec",
     "McmcConfig",
     "PosteriorDraws",
-    "gibbs_theta_update",
     "slice_sample_step",
     "fit_bhm",
     "credible_interval",
-    "posterior_predictive",
     "posterior_rank_probabilities",
     "split_rhat",
     "effective_sample_size",
@@ -232,11 +232,6 @@ class PosteriorDraws:
             return self.models.index(model)
         except ValueError:
             raise KeyError(f"unknown model {model!r}") from None
-
-
-def gibbs_theta_update(Y, N, alpha, beta, rng: np.random.Generator):
-    """Conjugate draw theta ~ Beta(alpha + Y, beta + N - Y); broadcasts."""
-    return rng.beta(np.add(alpha, Y), np.add(beta, np.subtract(N, Y)))
 
 
 def _log_prior(x, log_rate, rate, mu, inv_sigma):
@@ -547,26 +542,25 @@ def fit_bhm(
     n_models, n_tasks = Y.shape
     grids = [_posterior_grid(Y[i], N, *by_model[m], m) for i, m in enumerate(table.models)]
 
-    theta = np.empty((C, K, n_models, n_tasks))
-    alpha = np.empty((C, K, n_models))
-    beta = np.empty((C, K, n_models))
+    # Chain-major draws: draw s belongs to chain s // K.
+    theta = np.empty((C * K, n_models, n_tasks))
+    alpha = np.empty((C * K, n_models))
+    beta = np.empty((C * K, n_models))
     for c in range(C):
         gen = _rng.substream(config.seed, _rng.QUADRATURE, c)
         u = gen.random((3, K, n_models))
+        chain = slice(c * K, (c + 1) * K)
         for i, ((axis_x, axis_y), cdf, _, _, to_logs) in enumerate(grids):
             cells = np.searchsorted(cdf, u[0, :, i] * cdf[-1], side="right")
             rows, cols = np.divmod(np.minimum(cells, cdf.size - 1), axis_y.size)
             log_a, log_b, _ = to_logs(_jittered(axis_x, rows, u[1, :, i]),
                                       _jittered(axis_y, cols, u[2, :, i]))
             prior_a, prior_b = by_model[table.models[i]]
-            alpha[c, :, i] = prior_a.value if prior_a.kind == "fixed" else np.exp(log_a)
-            beta[c, :, i] = prior_b.value if prior_b.kind == "fixed" else np.exp(log_b)
-        theta[c] = gibbs_theta_update(Y, N, alpha[c, :, :, None], beta[c, :, :, None], gen)
+            alpha[chain, i] = prior_a.value if prior_a.kind == "fixed" else np.exp(log_a)
+            beta[chain, i] = prior_b.value if prior_b.kind == "fixed" else np.exp(log_b)
+        # Conjugate draw theta ~ Beta(alpha + Y, beta + N - Y).
+        theta[chain] = gen.beta(alpha[chain, :, None] + Y, beta[chain, :, None] + (N - Y))
     np.clip(theta, _THETA_EPS, 1.0 - _THETA_EPS, out=theta)
-    # Chain-major draws: draw s belongs to chain s // K.
-    theta = theta.reshape(C * K, n_models, n_tasks)
-    alpha = alpha.reshape(C * K, n_models)
-    beta = beta.reshape(C * K, n_models)
 
     mean_theta = theta.mean(axis=2)  # draws x models
     diagnostics = {}
@@ -630,31 +624,6 @@ def credible_interval(
     if other is not None:
         series = series - draws.theta[:, draws.model_index(other), :] @ w
     return summarize_draws(series[None, :], adjusted, "bhm-credible")[0]
-
-
-def posterior_predictive(
-    draws: PosteriorDraws,
-    sizes=None,
-    gen: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Predictive accuracies: one Binomial(N_j, theta_ij)/N_j per retained draw.
-
-    Returns a draws x models x tasks array.  The default stream is the
-    PREDICTIVE substream of the fit seed, so repeated calls reproduce.
-    """
-    if sizes is None:
-        sizes = [t.test_size for t in draws.tasks]
-    sizes = np.asarray(sizes, dtype=np.int64)
-    if sizes.shape != (draws.theta.shape[2],):
-        raise ValidationError(
-            f"got {sizes.size} sizes for {draws.theta.shape[2]} tasks"
-        )
-    if np.any(sizes < 1):
-        raise ValidationError("all test sizes must be >= 1")
-    if gen is None:
-        gen = _rng.substream(draws.config.seed, _rng.PREDICTIVE)
-    counts = gen.binomial(sizes[None, None, :], draws.theta)
-    return counts / sizes[None, None, :]
 
 
 def posterior_rank_probabilities(

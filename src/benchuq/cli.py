@@ -78,12 +78,15 @@ class _Parser(argparse.ArgumentParser):
 # ------------------------------------------------------------- configuration
 
 
-def positive_int(text: str) -> int:
-    """argparse type for a count that must be at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """argparse type for an integer that must be at least ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
+    return parse
 
 
 def format_set(text: str) -> set[str]:
@@ -117,9 +120,9 @@ def _add_common(p: _Parser, *, data: bool = True, outputs: bool = True) -> None:
         p.add_argument("--formats", type=format_set, default="markdown,csv,json",
                        help="comma list from markdown,csv,json "
                             "(default: %(default)s)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="root seed for all random streams (default: %(default)s)")
-    p.add_argument("--workers", type=positive_int, default=1,
+    p.add_argument("--seed", type=_int_at_least(0), default=0,
+                   help="root seed for all random streams, >= 0 (default: %(default)s)")
+    p.add_argument("--workers", type=_int_at_least(1), default=1,
                    help="accepted for compatibility and must be >= 1; all "
                         "work runs in one thread (default: %(default)s)")
 

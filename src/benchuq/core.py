@@ -158,7 +158,7 @@ def read_csv_rows(path, columns=None) -> tuple[list[str], list[tuple[int, list[s
     """
     path = Path(path)
     try:
-        with path.open(newline="") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:  # skips a BOM
             reader = csv.reader(fh)
             rows = [
                 (reader.line_num, row)
@@ -197,6 +197,8 @@ def load_task_file(path) -> tuple[TaskSpec, ...]:
         if len(row) != 3:
             raise ValidationError(f"{path}: row {lineno} has {len(row)} columns, expected 3")
         task_id, category, size_text = (c.strip() for c in row)
+        if not task_id:
+            raise ValidationError(f"{path}: row {lineno}, column 'task' is blank")
         if task_id in first_row:
             raise ValidationError(f"{path}: row {lineno}, column 'task': task {task_id!r} "
                                   f"repeats row {first_row[task_id]}")
@@ -251,6 +253,9 @@ def load_eval_table(path, task_path, format: str = "counts") -> EvalTable:
         if len(row) != 3:
             raise ValidationError(f"{path}: row {lineno} has {len(row)} columns, expected 3")
         model, task_id, value_text = (c.strip() for c in row)
+        for column, text in (("model", model), ("task", task_id)):
+            if not text:
+                raise ValidationError(f"{path}: row {lineno}, column {column!r} is blank")
         if task_id not in task_pos:
             raise ValidationError(
                 f"{path}: row {lineno}, column 'task': unknown task {task_id!r}"
@@ -266,9 +271,10 @@ def load_eval_table(path, task_path, format: str = "counts") -> EvalTable:
         try:
             value = float(value_text) if format != "counts" else int(value_text)
         except ValueError:
+            kind = "an integer" if format == "counts" else "numeric"
             raise ValidationError(
                 f"{path}: row {lineno}, column {value_column!r}: "
-                f"{value_text!r} is not numeric"
+                f"{value_text!r} is not {kind}"
             ) from None
         cells[(i, j)] = value
 

@@ -1,4 +1,8 @@
-"""Rank-aggregation schemes over bootstrap or posterior-predictive samples.
+"""Rank-aggregation schemes over bootstrap replicates or any array of samples.
+
+A caller who wants to rank posterior-predictive accuracies draws
+Binomial(N_j, theta_ij) / N_j from ``PosteriorDraws.theta`` with a
+generator of their own and passes the draws x models x tasks array.
 
 Five schemes: rank models by their across-task mean (ByAverage) or
 geometric mean (GeometricMean), or rank per task first and average the
@@ -105,7 +109,7 @@ class _Workspace:
 def _sort_order(values, ws):
     """Sort every (sample, task) row of a samples x models x tasks array.
 
-    Each row runs from its largest value down, NaN last.  Returns two
+    Each row runs from its largest value down.  Returns two
     models x rows arrays, rows in sample-major order: ``owner`` holds the
     (sample, model) pair s * M + m at each sorted slot, and ``source`` the
     flat index owner * T + t of that value in ``values``.
@@ -145,13 +149,12 @@ def _running_max(values, spare):
 def _rank_sums(keys, owner, n_tasks, ws):
     """Each (sample, model) pair's descending ranks summed over tasks, doubled.
 
-    ``keys`` is models x rows, every row in the order of :func:`_sort_order`
-    (NaN last), and ``owner`` is that order's owner array; ``keys`` is used
-    up.  Tied keys share the mean of their positions, and a sample with a
-    NaN row ranks NaN throughout.  Divided by 2 * T, the flat samples *
-    models result is ``scipy.stats.rankdata(-values, method="average",
-    axis=1).mean(axis=2)`` bit for bit: ranks are half-integers, so the
-    doubled sums are exact integers.
+    ``keys`` is models x rows, every row in the order of :func:`_sort_order`,
+    and ``owner`` is that order's owner array; ``keys`` is used up.  Tied
+    keys share the mean of their positions.  Divided by 2 * T, the flat
+    samples * models result is ``scipy.stats.rankdata(-values,
+    method="average", axis=1).mean(axis=2)`` bit for bit: ranks are
+    half-integers, so the doubled sums are exact integers.
     """
     n_models, rows = keys.shape
     # Runs of equal keys down a column are tie groups.  A group at positions
@@ -161,7 +164,6 @@ def _rank_sums(keys, owner, n_tasks, ws):
     # first, and that of (M - 1 - k) * breaks[k] up the column M - 1 - last.
     breaks = ws.breaks[: keys.size - rows].reshape(n_models - 1, rows)
     np.not_equal(keys[1:], keys[:-1], out=breaks)
-    nan_samples = np.isnan(keys[-1]).reshape(-1, n_tasks).any(axis=1)
     scans = ws.scans[:, : keys.size].reshape(4, *keys.shape)
     position = np.arange(n_models, dtype=scans.dtype)[:, None]
     first, from_end = scans[0], scans[2]
@@ -173,9 +175,8 @@ def _rank_sums(keys, owner, n_tasks, ws):
     # A slot's doubled rank is first + last + 2 = (first - from_end) + M + 1.
     offsets = np.subtract(first, from_end, out=keys)
     sums = np.bincount(owner.reshape(-1), weights=offsets.reshape(-1),
-                       minlength=len(nan_samples) * n_models)
+                       minlength=keys.size // n_tasks)
     sums += n_tasks * (n_models + 1)
-    sums.reshape(-1, n_models)[nan_samples] = np.nan
     return sums
 
 

@@ -15,7 +15,7 @@ BOOTSTRAP              0   one stream per block of 64 replicates, drawn
 (retired)              1   once one stream per MCMC chain
 RANK_NOISE             2   one stream per rank table, drawn sample-major
 (retired)              3   once count-synthesis jitter
-PREDICTIVE             4   posterior predictive draws
+(retired)              4   once posterior predictive draws
 (retired)              5   once synthetic test data
 QUADRATURE             6   one stream per BHM chain: one block of uniforms
                            choosing every model's grid cells and jittering
@@ -32,7 +32,6 @@ import numpy as np
 
 BOOTSTRAP = 0
 RANK_NOISE = 2
-PREDICTIVE = 4
 QUADRATURE = 6
 
 _MASK64 = (1 << 64) - 1

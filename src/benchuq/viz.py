@@ -207,5 +207,5 @@ def render_ternary(field: SimplexField, path=None) -> str:
     )
     doc = _document(WIDTH, base_y + caption_h + 22, body)
     if path is not None:
-        Path(path).write_text(doc)
+        Path(path).write_text(doc, encoding="utf-8")
     return doc

@@ -12,8 +12,6 @@ from benchuq.bhm import (
     credible_interval,
     effective_sample_size,
     fit_bhm,
-    gibbs_theta_update,
-    posterior_predictive,
     posterior_rank_probabilities,
     slice_sample_step,
     split_rhat,
@@ -107,28 +105,6 @@ class TestMcmcConfig:
     def test_retained_count(self):
         config = McmcConfig(total_iterations=12_000, burn_in=2_000, thinning=5)
         assert config.retained_per_chain == 2_000
-
-
-class TestGibbsThetaUpdate:
-    def test_flat_prior_no_data_is_uniform(self):
-        gen = substream(1, 9)
-        draws = gibbs_theta_update(np.zeros(100_000), 0, 1.0, 1.0, gen)
-        assert abs(draws.mean() - 0.5) < 0.01
-        assert abs(draws.var() - 1.0 / 12.0) < 0.005
-
-    def test_posterior_mean_matches_closed_form(self):
-        gen = substream(2, 9)
-        draws = gibbs_theta_update(np.full(100_000, 115), 200, 2000.0, 2000.0, gen)
-        assert draws.mean() == pytest.approx(2115.0 / 4200.0, abs=0.002)
-
-    def test_perfect_scores_concentrate_near_upper_limit(self):
-        gen = substream(3, 9)
-        alpha, beta_, n = 500.0, 3.0, 1000
-        draws = gibbs_theta_update(np.full(50_000, n), n, alpha, beta_, gen)
-        expected = (alpha + n) / (alpha + beta_ + n)
-        sd = math.sqrt(beta_dist.var(alpha + n, beta_))
-        assert abs(draws.mean() - expected) < 3 * sd / math.sqrt(50_000) + 1e-6
-        assert np.all((draws > 0) & (draws < 1))
 
 
 class TestLogPosterior:
@@ -394,30 +370,6 @@ class TestCredibleInterval:
         draws = fit_bhm(tiny_table(), config=quick_config())
         with pytest.raises(KeyError, match="Z"):
             credible_interval(draws, "Z")
-
-
-class TestPosteriorPredictive:
-    def test_near_one_theta_yields_perfect_predictive(self):
-        draws = manual_draws(np.full((100, 1, 2), 1.0 - 1e-12))
-        acc = posterior_predictive(draws, sizes=[100, 100])
-        assert np.all(acc == 1.0)
-
-    def test_single_instance_tasks_match_posterior_mean(self):
-        gen = substream(5, 9)
-        theta = gen.uniform(0.2, 0.8, size=(4_000, 2, 2))
-        draws = manual_draws(theta, sizes=(1, 1))
-        acc = posterior_predictive(draws)
-        assert set(np.unique(acc)) <= {0.0, 1.0}
-        assert np.allclose(acc.mean(axis=0), theta.mean(axis=0), atol=0.025)
-
-    def test_default_stream_is_reproducible(self):
-        draws = fit_bhm(tiny_table(), config=quick_config())
-        assert np.array_equal(posterior_predictive(draws), posterior_predictive(draws))
-
-    def test_size_mismatch_rejected(self):
-        draws = manual_draws(np.full((5, 1, 2), 0.5))
-        with pytest.raises(ValidationError, match="sizes"):
-            posterior_predictive(draws, sizes=[10])
 
 
 class TestPosteriorRankProbabilities:

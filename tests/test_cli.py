@@ -293,6 +293,24 @@ def test_zero_workers_is_usage_error(command, source, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["bootstrap", "bhm", "simstudy"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_is_usage_error(command, source, tmp_path, capsys):
+    # Refused by argparse before any table is loaded or grid built.
+    argv = [command, "--out-dir", str(tmp_path / "out")]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        argv += ["--config", str(cfg)]
+    assert run(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--seed" in err and "must be an integer >= 0, got '-1'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 # ------------------------------------------------------------- subcommands
 
 

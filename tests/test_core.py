@@ -205,6 +205,37 @@ class TestLoading:
         with pytest.raises(ValidationError, match=r"row 2.*correct.*abc"):
             load_eval_table(data, tasks)
 
+    def test_fractional_count_is_not_an_integer(self, tmp_path):
+        data, tasks = self.write_inputs(tmp_path, ["A,t1,50.0", "A,t2,684"])
+        with pytest.raises(ValidationError,
+                           match=r"row 2, column 'correct': '50.0' is not an integer$"):
+            load_eval_table(data, tasks)
+
+    @pytest.mark.parametrize("row, column", [(",t1,50", "model"), ("A,,50", "task")])
+    def test_blank_model_or_task_cell_names_row_and_column(self, tmp_path, row, column):
+        data, tasks = self.write_inputs(tmp_path, ["A,t2,684", row])
+        with pytest.raises(ValidationError, match=rf"row 3, column '{column}' is blank$"):
+            load_eval_table(data, tasks)
+
+    def test_blank_task_in_task_file_names_row(self, tmp_path):
+        bad = tmp_path / "tasks.csv"
+        bad.write_text("task,category,test_size\nt1,c,10\n ,c,10\n")
+        with pytest.raises(ValidationError, match=r"row 3, column 'task' is blank$"):
+            load_task_file(bad)
+
+    def test_files_with_a_utf8_bom_load_as_plain_files(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with U+FEFF.
+        data, tasks = self.write_inputs(tmp_path, ["A,t1,115", "A,t2,684"])
+        bom = tmp_path / "bom"
+        bom.mkdir()
+        for path in (data, tasks):
+            (bom / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_task_file(bom / tasks.name) == load_task_file(tasks)
+        plain, with_bom = load_eval_table(data, tasks), load_eval_table(bom / data.name,
+                                                                       bom / tasks.name)
+        assert (with_bom.models, with_bom.tasks) == (plain.models, plain.tasks)
+        assert np.array_equal(with_bom.counts, plain.counts)
+
     def test_ragged_table_rejected(self, tmp_path):
         data, tasks = self.write_inputs(tmp_path, ["A,t1,115", "A,t2,684", "B,t1,3"])
         with pytest.raises(ValidationError, match="missing cell.*'B'.*'t2'"):

@@ -33,9 +33,10 @@ def test_substream_matches_seedsequence_construction():
 
 
 def test_purpose_constants_are_distinct():
-    # Keys 1, 3 and 5 are retired; renumbering the rest would move every stream.
-    purposes = [rng.BOOTSTRAP, rng.RANK_NOISE, rng.PREDICTIVE, rng.QUADRATURE]
-    assert purposes == [0, 2, 4, 6]
+    # Keys 1, 3, 4 and 5 are retired; renumbering the rest would move every stream.
+    purposes = [rng.BOOTSTRAP, rng.RANK_NOISE, rng.QUADRATURE]
+    assert purposes == [0, 2, 6]
+    assert not hasattr(rng, "PREDICTIVE")
 
 
 def test_large_seed_is_wrapped_not_rejected():
