@@ -52,7 +52,7 @@ PAIRWISE_LEVEL = 0.95
 # was measured no faster.
 _BLOCK = 64
 
-_METHODS = ("bootstrap-percentile", "bhm-credible", "bhm-posterior-predictive")
+_METHODS = ("bootstrap-percentile", "bhm-credible", "sample-percentile")
 
 
 @dataclass(frozen=True)

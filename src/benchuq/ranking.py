@@ -308,7 +308,7 @@ def _rank_summaries(samples, schemes, sections, level, seed, models, method, nor
         if models is None:
             models = tuple(f"model_{i}" for i in range(values.shape[1]))
         seed = 0 if seed is None else seed
-        method = "bhm-posterior-predictive" if method is None else method
+        method = "sample-percentile" if method is None else method
         shape = values.shape
     n_samples, n_models, n_tasks = shape
     if n_samples < 2:
@@ -349,11 +349,12 @@ def rank_tables(
     ``"normalized"`` section of the same shape follows, ranking scores put
     through :func:`~benchuq.normalize.normalize_scores` against those fixed
     bounds.  ``samples`` is a bootstrap ReplicateStore or a samples x models
-    x tasks array (e.g. posterior-predictive accuracies — tagged
-    accordingly).  One pass over the samples ranks both sections: each block
-    is normalized once, one sort of its raw values orders the average-rank
-    and binned keys of both, and one warning per call counts the values
-    clamped into [0, 1].  The noise variant adds normal noise of sd 1
+    x tasks array (e.g. posterior-predictive accuracies), whose intervals
+    are tagged ``"sample-percentile"`` unless ``method`` says otherwise.
+    One pass over the samples ranks both sections: each block is
+    normalized once, one sort of its raw values orders the average-rank and
+    binned keys of both, and one warning per call counts the values clamped
+    into [0, 1].  The noise variant adds normal noise of sd 1
     percentage point: sample s of M x T cells takes normals
     [s*M*T, (s+1)*M*T) of the RANK_NOISE substream of ``seed`` (default: the
     store's seed, else 0) whatever the sample count, block size or other

@@ -90,6 +90,21 @@ class TestPriorSpec:
         with pytest.raises(ValidationError):
             PriorSpec(**bad)
 
+    @pytest.mark.parametrize(
+        "spec, name",
+        [
+            (dict(kind="exponential", rate=math.nan), "rate"),
+            (dict(kind="exponential", rate=math.inf), "rate"),
+            (dict(kind="truncated_normal", mu=math.nan, sigma=1.0), "mu"),
+            (dict(kind="truncated_normal", mu=1.0, sigma=math.inf), "sigma"),
+            (dict(kind="fixed", value=math.inf), "value"),
+            (dict(kind="fixed", value=math.nan), "value"),
+        ],
+    )
+    def test_nonfinite_parameters_rejected_by_name(self, spec, name):
+        with pytest.raises(ValidationError, match=f"prior {name} must be finite"):
+            PriorSpec(**spec)
+
 
 class TestMcmcConfig:
     def test_burn_in_must_precede_end(self):
@@ -130,6 +145,29 @@ class TestLgamma:
         expected = np.array([math.lgamma(v) for v in x])
         error = np.abs(bhm._lgamma(x) - expected)
         assert np.all(error <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+
+    @pytest.mark.parametrize("low", [8.0, 15.0, 79.0, 711.0, 5_000.0, 73_728.0, 1e10])
+    def test_short_series_matches_math_lgamma(self, low):
+        # Nothing below 8, so the call keeps only the series terms its
+        # smallest argument needs: from all 8 at low = 8 down to 1 at 1e10.
+        x = low * np.geomspace(1.0, 1e4, 5_001)
+        expected = np.array([math.lgamma(v) for v in x])
+        got = bhm._lgamma(x)
+        assert np.all(np.abs(got - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+        # The terms left out do not move a bit: an 8 in the call keeps all 8.
+        assert np.array_equal(got, bhm._lgamma(np.append(x, 8.0))[:-1])
+
+    @pytest.mark.parametrize("shape", [(1, 129), (33, 33), (129, 65)])
+    def test_rows_equal_one_call_per_row(self, shape):
+        # Offsets on both sides of 8, out of order, over the start box's
+        # pseudo-counts: rows are shifted, stacked and split as they come.
+        base = np.exp(np.linspace(-25.0, 25.0, math.prod(shape))).reshape(shape)
+        offsets = np.array([79, 0, 3, 711, 5_000, 290, 1, 7, 8, 20, 73_728,
+                            2, 100, 150, 4_000, 9_000, 12, 0, 30])
+        rows = list(bhm._lgamma_rows(base, offsets))
+        assert len(rows) == offsets.size
+        for row, n in zip(rows, offsets):
+            assert np.array_equal(row, bhm._lgamma(base + n))
 
 
 def chain_slice(logdensity, x0, n, seed, width=1.0, max_stepout=50):

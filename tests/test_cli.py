@@ -121,6 +121,15 @@ def test_too_few_retained_draws_fail_before_sampling(tmp_path, capsys, monkeypat
         assert part in err
 
 
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_nonfinite_prior_rate_is_data_error(rate, tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["bhm", "--out-dir", str(tmp_path), "--prior-rate", rate]) == EXIT_DATA
+    assert f"exponential prior rate must be finite, got {rate}" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_parser_covers_documented_commands():
     _, subs = build_parser()
     assert set(subs) == {"ingest", "bootstrap", "bhm", "ranks", "simplex",

@@ -208,11 +208,11 @@ def test_rank_intervals_points_average_the_sample_ranks(store):
         assert s.point == pytest.approx(ranks[:, i].mean())
 
 
-def test_rank_intervals_raw_array_tagged_predictive():
+def test_rank_intervals_raw_array_tagged_sample_percentile():
     samples = np.random.default_rng(1).uniform(0.1, 0.9, size=(50, 3, 2))
     summaries = rank_intervals(samples, RankScheme.BY_AVERAGE, models=("x", "y", "z"))
     assert [s.model for s in summaries] == ["x", "y", "z"]
-    assert all(s.interval.method == "bhm-posterior-predictive" for s in summaries)
+    assert all(s.interval.method == "sample-percentile" for s in summaries)
 
 
 def test_rank_intervals_noise_reproducible_and_seed_sensitive(store):

@@ -15,8 +15,8 @@ sorted, and then the sha256 of that listing.  Two checkouts whose listings
 hash the same wrote byte-identical output trees.  It exits 1 if any command
 exits nonzero.  Each command's peak resident set size (``ru_maxrss`` from
 ``os.wait4``, read as KiB as Linux reports it), minor page faults
-(``ru_minflt``) and wall time go to standard error, so standard output stays
-the listing alone.
+(``ru_minflt``), CPU time (``ru_utime + ru_stime``) and wall time go to
+standard error, so standard output stays the listing alone.
 """
 
 from __future__ import annotations
@@ -100,6 +100,7 @@ def main(argv=None) -> int:
                 proc.returncode = os.waitstatus_to_exitcode(status)
             print(f"{name}: peak RSS {usage.ru_maxrss / 1024:.1f} MiB, "
                   f"{usage.ru_minflt} minor faults, "
+                  f"CPU {usage.ru_utime + usage.ru_stime:.2f} s, "
                   f"wall {time.perf_counter() - start:.2f} s", file=sys.stderr)
             if proc.returncode != 0:
                 failed.append(name)
