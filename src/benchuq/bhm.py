@@ -23,6 +23,14 @@ grid in the other's log, and two leave plain conjugate draws.
 Posterior-predictive accuracies are left to the caller, who draws them
 from ``PosteriorDraws.theta``.
 
+Theta, draws x models x tasks, is drawn _CHUNK draws at a time by one
+generator with two consumers.  :func:`fit_bhm` stacks the chunks into
+``PosteriorDraws.theta`` for library callers.  :func:`fit_bhm_means`, which
+the command line uses, reduces each chunk as it is drawn to the two
+per-draw task means it reads, one per model for the credible intervals and
+``theta.mean(axis=2)`` for R-hat and ESS, so it never holds theta: 233 MB
+on a 64 x 57 table at the default 8,000 draws.
+
 The log-gamma values come from :func:`_lgamma`, in numpy alone: a warm
 ``import scipy.special`` costs about a third of a second and 15 MiB, more
 than a whole simulation-study fit.  Building the grids is most of a fit's
@@ -45,7 +53,6 @@ from . import rng as _rng
 from .bootstrap import IntervalEstimate, bonferroni_level, summarize_draws
 from .core import EvalTable
 from .errors import ConvergenceWarning, SliceSamplerError, ValidationError
-from .weighting import UNWEIGHTED, WeightVector, resolve_task_weights
 
 __all__ = [
     "DEFAULT_PRIOR_RATE",
@@ -56,6 +63,8 @@ __all__ = [
     "PosteriorDraws",
     "slice_sample_step",
     "fit_bhm",
+    "fit_bhm_means",
+    "series_interval",
     "credible_interval",
     "posterior_rank_probabilities",
     "split_rhat",
@@ -104,6 +113,13 @@ _ROUNDS = 40
 # Keeps log(theta) and log1p(-theta) finite when a conjugate draw rounds
 # to an endpoint in floating point.
 _THETA_EPS = 1e-12
+
+# Draws of theta per chunk (see the module docstring).  Keep it a multiple
+# of 8: the credible series takes theta[:, i, :] @ w per model, a BLAS
+# matrix-vector product whose kernel sums its rows in groups, and with
+# 250-draw chunks one interval endpoint on a 64 x 57 table moved by one ulp
+# against the product over all draws at once.  With 256 every output matched.
+_CHUNK = 256
 
 # Most arguments in one _lgamma call from _lgamma_rows: seven rows of a
 # coarse 33 x 33 grid, one of a fine 129 x 65 grid.  Building the fixture's
@@ -225,9 +241,10 @@ class PosteriorDraws:
             raise ValidationError(f"theta must be draws x models x tasks, got {theta.shape}")
         if alpha.shape != theta.shape[:2] or beta.shape != theta.shape[:2]:
             raise ValidationError("alpha/beta shapes do not match theta draws")
-        if np.any((theta <= 0.0) | (theta >= 1.0)):
+        # Written so that a NaN fails them; an empty draw array passes.
+        if theta.size and not (theta.min() > 0.0 and theta.max() < 1.0):
             raise ValidationError("theta draws must lie strictly inside (0, 1)")
-        if np.any(alpha <= 0.0) or np.any(beta <= 0.0):
+        if alpha.size and not (alpha.min() > 0.0 and beta.min() > 0.0):
             raise ValidationError("alpha and beta draws must be strictly positive")
         for arr in (theta, alpha, beta):
             arr.setflags(write=False)
@@ -554,6 +571,92 @@ def _jittered(axis, cells, u):
     return axis[cells] + (axis[1] - axis[0]) * (u - 0.5)
 
 
+def _sample(table: EvalTable, priors, config: McmcConfig):
+    """The grids, the alpha and beta draws (draws x models, chain-major) and a
+    generator of the theta draws of the fit :func:`fit_bhm` describes.
+
+    The generator yields theta in stream order as (rows, theta[rows]), at
+    most _CHUNK draws of one chain at a time, clipped to [_THETA_EPS,
+    1 - _THETA_EPS].  Consecutive ``gen.beta`` calls on one generator draw
+    what one whole-chain call would, so chunking keeps the stream.
+    """
+    by_model = _normalize_priors(priors, table.models)
+    K = config.retained_per_chain
+    if K < 4:  # split_rhat and effective_sample_size need 4 per chain
+        raise ValidationError(
+            f"K = (iterations {config.total_iterations} - burn-in {config.burn_in})"
+            f" // thinning {config.thinning} = {K} draws per chain; need K >= 4"
+        )
+    C = config.chains
+    Y, N = table.counts, table.sizes
+    n_models = len(table.models)
+    grids = [_posterior_grid(Y[i], N, *by_model[m], m) for i, m in enumerate(table.models)]
+
+    # Chain-major draws: draw s belongs to chain s // K.
+    alpha = np.empty((C * K, n_models))
+    beta = np.empty((C * K, n_models))
+    gens = []
+    for c in range(C):
+        gen = _rng.substream(config.seed, _rng.QUADRATURE, c)
+        u = gen.random((3, K, n_models))
+        chain = slice(c * K, (c + 1) * K)
+        for i, ((axis_x, axis_y), cdf, _, _, to_logs) in enumerate(grids):
+            cells = np.searchsorted(cdf, u[0, :, i] * cdf[-1], side="right")
+            rows, cols = np.divmod(np.minimum(cells, cdf.size - 1), axis_y.size)
+            log_a, log_b, _ = to_logs(_jittered(axis_x, rows, u[1, :, i]),
+                                      _jittered(axis_y, cols, u[2, :, i]))
+            prior_a, prior_b = by_model[table.models[i]]
+            alpha[chain, i] = prior_a.value if prior_a.kind == "fixed" else np.exp(log_a)
+            beta[chain, i] = prior_b.value if prior_b.kind == "fixed" else np.exp(log_b)
+        gens.append(gen)
+
+    def chunks():
+        for c, gen in enumerate(gens):
+            for start in range(c * K, (c + 1) * K, _CHUNK):
+                rows = slice(start, min(start + _CHUNK, (c + 1) * K))
+                # Conjugate draw theta ~ Beta(alpha + Y, beta + N - Y).
+                theta = gen.beta(alpha[rows, :, None] + Y, beta[rows, :, None] + (N - Y))
+                yield rows, np.clip(theta, _THETA_EPS, 1.0 - _THETA_EPS, out=theta)
+
+    return grids, alpha, beta, chunks()
+
+
+def _diagnostics(models, grids, mean_theta, config: McmcConfig) -> dict:
+    """Per-model diagnostics of a fit from its draws x models task means of
+    theta, with the warnings :func:`fit_bhm` describes."""
+    diagnostics = {}
+    for i, model in enumerate(models):
+        per_chain = mean_theta[:, i].reshape(config.chains, config.retained_per_chain)
+        _, _, edge_mass, box, _ = grids[i]
+        diagnostics[model] = {
+            "rhat": split_rhat(per_chain),
+            "ess": effective_sample_size(per_chain),
+            "edge_mass": edge_mass,
+            "box": box,
+        }
+    # stacklevel 3 names the caller of fit_bhm or fit_bhm_means.
+    rhats = [d["rhat"] for d in diagnostics.values() if np.isfinite(d["rhat"])]
+    worst = max(rhats, default=0.0)
+    if worst > RHAT_WARN_THRESHOLD:
+        warn(
+            f"split-chain R-hat up to {worst:.3f} exceeds {RHAT_WARN_THRESHOLD}; "
+            "intervals may be unreliable — consider more iterations",
+            ConvergenceWarning,
+            stacklevel=3,
+        )
+    edge_model = max(diagnostics, key=lambda m: diagnostics[m]["edge_mass"])
+    edge_mass = diagnostics[edge_model]["edge_mass"]
+    if edge_mass > EDGE_MASS_WARN_THRESHOLD:
+        warn(
+            f"model {edge_model!r}: {edge_mass:.3g} of the posterior grid mass lies "
+            f"in its outermost cells, above {EDGE_MASS_WARN_THRESHOLD}; the "
+            "grid's box may cut off part of the posterior",
+            ConvergenceWarning,
+            stacklevel=3,
+        )
+    return diagnostics
+
+
 def fit_bhm(
     table: EvalTable,
     priors=None,
@@ -569,7 +672,8 @@ def fit_bhm(
     independent draws: chains x retained per chain.  Chain c draws from the
     substream (seed, QUADRATURE, c): one block of uniforms choosing every
     model's grid cells and jittering them along both axes, then the
-    conjugate theta draws.  So a chain's draws do not depend on how many
+    conjugate theta draws, _CHUNK draws at a time, which this function
+    stacks into ``theta``.  So a chain's draws do not depend on how many
     chains run beside it.  Diagnostics per model: split-chain R-hat and
     effective sample size of the mean theta trace, the share of grid mass in
     the outermost cells (``edge_mass``), and the grid's ``box`` as (lo, hi)
@@ -577,68 +681,10 @@ def fit_bhm(
     then log beta when either is fixed.  A warning fires if any R-hat
     exceeds 1.05 or any edge mass exceeds 1e-6.
     """
-    by_model = _normalize_priors(priors, table.models)
-    K = config.retained_per_chain
-    if K < 4:  # split_rhat and effective_sample_size need 4 per chain
-        raise ValidationError(
-            f"K = (iterations {config.total_iterations} - burn-in {config.burn_in})"
-            f" // thinning {config.thinning} = {K} draws per chain; need K >= 4"
-        )
-    C = config.chains
-    Y, N = table.counts, table.sizes
-    n_models, n_tasks = Y.shape
-    grids = [_posterior_grid(Y[i], N, *by_model[m], m) for i, m in enumerate(table.models)]
-
-    # Chain-major draws: draw s belongs to chain s // K.
-    theta = np.empty((C * K, n_models, n_tasks))
-    alpha = np.empty((C * K, n_models))
-    beta = np.empty((C * K, n_models))
-    for c in range(C):
-        gen = _rng.substream(config.seed, _rng.QUADRATURE, c)
-        u = gen.random((3, K, n_models))
-        chain = slice(c * K, (c + 1) * K)
-        for i, ((axis_x, axis_y), cdf, _, _, to_logs) in enumerate(grids):
-            cells = np.searchsorted(cdf, u[0, :, i] * cdf[-1], side="right")
-            rows, cols = np.divmod(np.minimum(cells, cdf.size - 1), axis_y.size)
-            log_a, log_b, _ = to_logs(_jittered(axis_x, rows, u[1, :, i]),
-                                      _jittered(axis_y, cols, u[2, :, i]))
-            prior_a, prior_b = by_model[table.models[i]]
-            alpha[chain, i] = prior_a.value if prior_a.kind == "fixed" else np.exp(log_a)
-            beta[chain, i] = prior_b.value if prior_b.kind == "fixed" else np.exp(log_b)
-        # Conjugate draw theta ~ Beta(alpha + Y, beta + N - Y).
-        theta[chain] = gen.beta(alpha[chain, :, None] + Y, beta[chain, :, None] + (N - Y))
-    np.clip(theta, _THETA_EPS, 1.0 - _THETA_EPS, out=theta)
-
-    mean_theta = theta.mean(axis=2)  # draws x models
-    diagnostics = {}
-    for i, model in enumerate(table.models):
-        per_chain = mean_theta[:, i].reshape(C, K)
-        _, _, edge_mass, box, _ = grids[i]
-        diagnostics[model] = {
-            "rhat": split_rhat(per_chain),
-            "ess": effective_sample_size(per_chain),
-            "edge_mass": edge_mass,
-            "box": box,
-        }
-    rhats = [d["rhat"] for d in diagnostics.values() if np.isfinite(d["rhat"])]
-    worst = max(rhats, default=0.0)
-    if worst > RHAT_WARN_THRESHOLD:
-        warn(
-            f"split-chain R-hat up to {worst:.3f} exceeds {RHAT_WARN_THRESHOLD}; "
-            "intervals may be unreliable — consider more iterations",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
-    edge_model = max(diagnostics, key=lambda m: diagnostics[m]["edge_mass"])
-    edge_mass = diagnostics[edge_model]["edge_mass"]
-    if edge_mass > EDGE_MASS_WARN_THRESHOLD:
-        warn(
-            f"model {edge_model!r}: {edge_mass:.3g} of the posterior grid mass lies "
-            f"in its outermost cells, above {EDGE_MASS_WARN_THRESHOLD}; the "
-            "grid's box may cut off part of the posterior",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
+    grids, alpha, beta, chunks = _sample(table, priors, config)
+    theta = np.empty((*alpha.shape, len(table.tasks)))
+    for rows, chunk in chunks:
+        theta[rows] = chunk
     return PosteriorDraws(
         theta=theta,
         alpha=alpha,
@@ -646,45 +692,71 @@ def fit_bhm(
         models=table.models,
         tasks=table.tasks,
         config=config,
-        diagnostics=diagnostics,
+        diagnostics=_diagnostics(table.models, grids, theta.mean(axis=2), config),
     )
+
+
+def fit_bhm_means(
+    table: EvalTable,
+    priors=None,
+    config: McmcConfig = McmcConfig(),
+) -> tuple[np.ndarray, dict]:
+    """:func:`fit_bhm`'s task-mean draws and diagnostics, without holding theta.
+
+    Takes the same arguments, draws the same theta and reduces each chunk as
+    it is drawn.  Returns a draws x models array whose column i holds
+    ``theta[:, i, :] @ w`` for uniform task weights w, the series that
+    :func:`credible_interval` summarizes, and the diagnostics of
+    :func:`fit_bhm`, computed from ``theta.mean(axis=2)``.  Both reductions
+    work row by row, as there, so the results match bit for bit.
+    """
+    grids, alpha, _, chunks = _sample(table, priors, config)
+    w = np.full(len(table.tasks), 1.0 / len(table.tasks))
+    means = np.empty_like(alpha)
+    mean_theta = np.empty_like(alpha)
+    for rows, theta in chunks:
+        for i in range(len(table.models)):
+            means[rows, i] = theta[:, i, :] @ w
+        mean_theta[rows] = theta.mean(axis=2)
+    return means, _diagnostics(table.models, grids, mean_theta, config)
+
+
+def series_interval(series, level: float = 0.95, comparisons: int = 1) -> IntervalEstimate:
+    """Credible interval from one functional's value per posterior draw: its
+    :func:`~benchuq.bootstrap.summarize_draws` at the
+    :func:`~benchuq.bootstrap.bonferroni_level` of ``comparisons``."""
+    adjusted = bonferroni_level(level, comparisons)
+    return summarize_draws(np.asarray(series)[None, :], adjusted, "bhm-credible")[0]
 
 
 def credible_interval(
     draws: PosteriorDraws,
     model: str,
     other: str | None = None,
-    weights: WeightVector | None = UNWEIGHTED,
     level: float = 0.95,
     comparisons: int = 1,
 ) -> IntervalEstimate:
-    """Equal-tailed credible interval for a weighted mean of thetas.
+    """Equal-tailed credible interval for an across-task mean of thetas.
 
-    The functional is the weighted across-task mean of theta for ``model``,
+    The functional is the uniform across-task mean of theta for ``model``,
     minus the same functional of ``other`` when given.  Its draws are
-    summarized by :func:`~benchuq.bootstrap.summarize_draws` at the
-    :func:`~benchuq.bootstrap.bonferroni_level` of ``comparisons``.
+    summarized by :func:`series_interval`.
     """
-    adjusted = bonferroni_level(level, comparisons)
-    w = resolve_task_weights(weights, draws.tasks)
+    w = np.full(len(draws.tasks), 1.0 / len(draws.tasks))
     series = draws.theta[:, draws.model_index(model), :] @ w
     if other is not None:
         series = series - draws.theta[:, draws.model_index(other), :] @ w
-    return summarize_draws(series[None, :], adjusted, "bhm-credible")[0]
+    return series_interval(series, level, comparisons)
 
 
-def posterior_rank_probabilities(
-    draws: PosteriorDraws,
-    weights: WeightVector | None = UNWEIGHTED,
-) -> np.ndarray:
-    """P(model i holds rank r) under the weighted-theta leaderboard.
+def posterior_rank_probabilities(draws: PosteriorDraws) -> np.ndarray:
+    """P(model i holds rank r) under the across-task mean theta leaderboard.
 
-    Per draw, models are ranked by their weighted across-task theta mean
+    Per draw, models are ranked by their uniform across-task theta mean
     (rank 1 = largest); exact ties break by model index order.  Returns a
     models x models matrix whose rows sum to 1.
     """
-    w = resolve_task_weights(weights, draws.tasks)
-    scores = draws.theta @ w  # draws x models
+    scores = draws.theta @ np.full(len(draws.tasks), 1.0 / len(draws.tasks))  # draws x models
     order = np.argsort(-scores, axis=1, kind="stable")
     S, M = scores.shape
     probabilities = np.zeros((M, M))

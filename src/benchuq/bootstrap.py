@@ -21,7 +21,7 @@ import numpy as np
 from . import rng as _rng
 from .core import EvalTable, accuracy_of
 from .errors import CapacityError, ValidationError
-from .normalize import NormalizationBounds, normalize_scores
+from .normalize import NormalizationBounds, bounds_from_counts, normalize_scores
 from .weighting import UNWEIGHTED, WeightVector, resolve_task_weights
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "IntervalEstimate",
     "ReplicateStore",
     "run_bootstrap",
+    "bootstrap_bounds",
     "percentile_interval",
     "bonferroni_level",
     "summarize_draws",
@@ -190,6 +191,23 @@ def _available_bytes() -> int | None:
     return min(available, limit)
 
 
+def _blocks(table: EvalTable, B: int, seed: int):
+    """Yield (rows, counts) for each block of replicates, in order.
+
+    ``rows`` is the slice of replicates [64 b, 64 b + 64) cut to B, and
+    ``counts`` their int64 counts, models x tasks x replicates, drawn from
+    the substream keyed on (seed, BOOTSTRAP, b) as :func:`run_bootstrap`
+    describes.
+    """
+    sizes = table.sizes
+    p_hat = accuracy_of(table).values[..., None]
+    shape = (*table.counts.shape, _BLOCK)
+    for block, lo in enumerate(range(0, B, _BLOCK)):
+        gen = _rng.substream(seed, _rng.BOOTSTRAP, block)
+        hi = min(lo + _BLOCK, B)
+        yield slice(lo, hi), gen.binomial(sizes[:, None], p_hat, size=shape)[..., :hi - lo]
+
+
 def run_bootstrap(
     table: EvalTable,
     B: int = DEFAULT_REPLICATES,
@@ -208,25 +226,38 @@ def run_bootstrap(
     """
     if B < 1:
         raise ValidationError(f"replicate count must be >= 1, got {B}")
-    n_models, n_tasks = table.counts.shape
-    sizes = table.sizes
-    dtype = _count_dtype(sizes)
-    requested = B * n_models * n_tasks * dtype.itemsize
+    dtype = _count_dtype(table.sizes)
+    requested = B * table.counts.size * dtype.itemsize
     available = _available_bytes()
     if available is not None and requested > available:
         raise CapacityError(requested, available)
 
-    out = np.empty((B, n_models, n_tasks), dtype=dtype)
-    p_hat = accuracy_of(table).values[..., None]
-    shape = (n_models, n_tasks, _BLOCK)
-    for block, lo in enumerate(range(0, B, _BLOCK)):
-        gen = _rng.substream(seed, _rng.BOOTSTRAP, block)
-        hi = min(lo + _BLOCK, B)
-        # Unnamed, so each block's draws are freed before the next is drawn.
-        np.copyto(out[lo:hi].transpose(1, 2, 0),
-                  gen.binomial(sizes[:, None], p_hat, size=shape)[..., :hi - lo],
-                  casting="unsafe")
+    out = np.empty((B, *table.counts.shape), dtype=dtype)
+    for rows, counts in _blocks(table, B, seed):
+        np.copyto(out[rows].transpose(1, 2, 0), counts, casting="unsafe")
+        del counts  # freed before the next block is drawn
     return ReplicateStore(counts=out, seed=seed, source=table)
+
+
+def bootstrap_bounds(
+    table: EvalTable,
+    B: int = DEFAULT_REPLICATES,
+    seed: int = 0,
+) -> NormalizationBounds:
+    """``estimate_bounds(run_bootstrap(table, B, seed))``, without the store.
+
+    Each block of replicates is reduced to its per-task count extremes as it
+    is drawn, so no more than one block is held and no capacity check
+    applies.
+    """
+    if B < 1:
+        raise ValidationError(f"replicate count must be >= 1, got {B}")
+    low, high = table.sizes.copy(), np.zeros_like(table.sizes)
+    for _, counts in _blocks(table, B, seed):
+        np.minimum(low, counts.min(axis=(0, 2)), out=low)
+        np.maximum(high, counts.max(axis=(0, 2)), out=high)
+        del counts
+    return bounds_from_counts(low, high, table)
 
 
 def percentile_interval(samples, level: float):

@@ -26,21 +26,24 @@ from .bhm import (
     DEFAULT_PRIOR_RATE,
     McmcConfig,
     PriorSpec,
-    credible_interval,
-    fit_bhm,
+    fit_bhm_means,
+    series_interval,
 )
 from .bootstrap import (
     DEFAULT_REPLICATES,
     DISPLAY_LEVEL,
     aggregate_interval,
+    bootstrap_bounds,
     pairwise_difference_intervals,
     run_bootstrap,
 )
 from .core import EvalTable, TaskSpec, load_eval_table, validate_consistency
 from .errors import BenchuqError, ConvergenceWarning, ValidationError
 from .fixtures import load_vtab, published_means_from_csv, vtab_published_means
-# Kept for the tracer: perfbench/trace_cli.py wraps normalize_scores and
-# rank_intervals beside the other layer entry points; nothing here calls them.
+# Kept for the tracer: perfbench/trace_cli.py wraps normalize_scores,
+# rank_intervals, fit_bhm and credible_interval beside the other layer entry
+# points; nothing here calls them.
+from .bhm import credible_interval, fit_bhm  # noqa: F401
 from .normalize import estimate_bounds, normalize_scores  # noqa: F401
 from .ranking import RankScheme, rank_intervals, rank_tables  # noqa: F401
 from .viz import render_ternary
@@ -319,14 +322,18 @@ def _bootstrap_column(store, args, normalizer=None) -> dict:
             for m in store.source.models}
 
 
+def _mcmc_config(args) -> McmcConfig:
+    return McmcConfig(args.iterations, args.burn_in, args.thinning, args.chains, args.seed)
+
+
 def _bhm_column(table: EvalTable, args) -> tuple[dict, dict]:
     """Each model's BHM credible interval of its mean accuracy, and the fit's
     per-model diagnostics."""
-    draws = fit_bhm(table, priors=PriorSpec.exponential(args.prior_rate),
-                    config=McmcConfig(args.iterations, args.burn_in, args.thinning,
-                                      args.chains, args.seed))
-    column = {m: credible_interval(draws, m, level=args.level) for m in table.models}
-    return column, draws.diagnostics
+    means, diagnostics = fit_bhm_means(table, priors=PriorSpec.exponential(args.prior_rate),
+                                       config=_mcmc_config(args))
+    column = {m: series_interval(means[:, i], level=args.level)
+              for i, m in enumerate(table.models)}
+    return column, diagnostics
 
 
 def _interval_rows(names, columns_by_label):
@@ -480,9 +487,8 @@ def cmd_simplex(args) -> int:
     categories = table.categories
     variants = [("simplex", None)]
     if args.normalized:
-        # Only the bounds are kept: the store is freed before the scans.
-        variants.append(("simplex_normalized", estimate_bounds(
-            run_bootstrap(table, B=args.replicates, seed=args.seed))))
+        variants.append(("simplex_normalized",
+                         bootstrap_bounds(table, B=args.replicates, seed=args.seed)))
     written = []
     fields = []
     for stem, bounds in variants:
@@ -612,10 +618,10 @@ def cmd_simstudy(args) -> int:
         "bootstrap": rpt.interval_dict(boot),
     }
     if not args.bootstrap_only:
-        draws = fit_bhm(table, priors=SIMSTUDY_PRIORS,
-                        config=McmcConfig(args.iterations, args.burn_in, args.thinning,
-                                          args.chains, args.seed))
-        a_minus_b = credible_interval(draws, "A", other="B", level=0.95)
+        means, diagnostics = fit_bhm_means(table, priors=SIMSTUDY_PRIORS,
+                                           config=_mcmc_config(args))
+        a, b = table.model_index("A"), table.model_index("B")
+        a_minus_b = series_interval(means[:, a] - means[:, b], level=0.95)
         say(f"BHM 95% credible interval for the A-B theta difference: "
             f"{rpt.format_interval(a_minus_b, digits=3)}")
         check("BHM interval is strictly negative (B better)",
@@ -627,7 +633,7 @@ def cmd_simstudy(args) -> int:
             and abs(a_minus_b.upper - hi) <= SIMSTUDY_TOLERANCE,
         )
         payload["bhm"] = rpt.interval_dict(a_minus_b)
-        payload["diagnostics"] = draws.diagnostics
+        payload["diagnostics"] = diagnostics
     payload["checks"] = [{"label": label, "passed": ok} for label, ok in checks]
 
     written = []

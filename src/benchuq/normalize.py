@@ -19,6 +19,7 @@ from .errors import DegenerateBoundsError, ValidationError
 __all__ = [
     "NormalizationBounds",
     "estimate_bounds",
+    "bounds_from_counts",
     "normalize_scores",
 ]
 
@@ -56,13 +57,18 @@ def estimate_bounds(store) -> NormalizationBounds:
     counts = store.counts
     if counts.size == 0:
         raise ValidationError("empty replicate store")
-    # Dividing by a fixed N_j is monotone in IEEE arithmetic, so the
-    # extreme counts divide to the extreme accuracies exactly.
-    sizes = store.source.sizes
-    low = counts.min(axis=(0, 1)) / sizes
-    high = counts.max(axis=(0, 1)) / sizes
-    task_ids = tuple(t.task_id for t in store.source.tasks)
-    return NormalizationBounds(tasks=task_ids, low=low, high=high)
+    return bounds_from_counts(counts.min(axis=(0, 1)), counts.max(axis=(0, 1)), store.source)
+
+
+def bounds_from_counts(low, high, table) -> NormalizationBounds:
+    """Bounds from each task's extreme success counts ``low`` and ``high``.
+
+    Dividing by a fixed N_j is monotone in IEEE arithmetic, so the extreme
+    counts divide to the extreme accuracies exactly.
+    """
+    sizes = table.sizes
+    task_ids = tuple(t.task_id for t in table.tasks)
+    return NormalizationBounds(tasks=task_ids, low=low / sizes, high=high / sizes)
 
 
 def normalize_scores(values: np.ndarray, bounds: NormalizationBounds) -> np.ndarray:

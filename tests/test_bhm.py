@@ -18,8 +18,7 @@ from benchuq.bhm import (
 )
 from benchuq.core import EvalTable, TaskSpec
 from benchuq.errors import ConvergenceWarning, SliceSamplerError, ValidationError
-from benchuq.rng import substream
-from benchuq.weighting import WeightVector
+from benchuq.rng import QUADRATURE, substream
 
 # Short-chain fits in these tests legitimately trip the R-hat warning;
 # convergence behavior itself is covered explicitly below.
@@ -70,6 +69,24 @@ def manual_draws(theta, config=None, sizes=(10, 10)):
         tasks=tuple(TaskSpec(f"t{j}", "c", sizes[j]) for j in range(J)),
         config=config or quick_config(),
     )
+
+
+class TestPosteriorDraws:
+    def test_nan_theta_rejected(self):
+        theta = np.full((5, 2, 2), 0.5)
+        theta[3, 1, 0] = np.nan
+        with pytest.raises(ValidationError, match=r"inside \(0, 1\)"):
+            manual_draws(theta)
+
+    def test_nan_alpha_rejected(self):
+        alpha = np.full((5, 2), 2.0)
+        alpha[2, 0] = np.nan
+        with pytest.raises(ValidationError, match="strictly positive"):
+            PosteriorDraws(theta=np.full((5, 2, 2), 0.5), alpha=alpha,
+                           beta=np.full((5, 2), 2.0))
+
+    def test_empty_draws_accepted(self):
+        assert manual_draws(np.empty((0, 2, 2))).n_draws == 0
 
 
 class TestPriorSpec:
@@ -274,6 +291,23 @@ class TestFitBhm:
         assert np.array_equal(three.alpha[:S], two.alpha)
         assert np.array_equal(three.beta[:S], two.beta)
 
+    def test_chunks_keep_the_whole_chain_stream(self):
+        # K = 2 chunks + 3 draws: theta equals one Beta call per chain on the
+        # chain's substream, after its block of grid uniforms.
+        table = tiny_table()
+        K = 2 * bhm._CHUNK + 3
+        config = McmcConfig(total_iterations=K, burn_in=0, thinning=1, chains=2, seed=5)
+        draws = fit_bhm(table, config=config)
+        Y, N = table.counts, table.sizes
+        for c in range(2):
+            gen = substream(5, QUADRATURE, c)
+            gen.random((3, K, 2))
+            chain = slice(c * K, (c + 1) * K)
+            theta = gen.beta(draws.alpha[chain, :, None] + Y,
+                             draws.beta[chain, :, None] + (N - Y))
+            expected = np.clip(theta, bhm._THETA_EPS, 1.0 - bhm._THETA_EPS)
+            assert np.array_equal(draws.theta[chain], expected)
+
     def test_different_seed_changes_draws(self):
         table = tiny_table()
         a = fit_bhm(table, config=quick_config(seed=1))
@@ -396,13 +430,6 @@ class TestCredibleInterval:
         draws = fit_bhm(tiny_table(), config=quick_config())
         est = credible_interval(draws, "A", other="B", level=0.95, comparisons=3)
         assert est.level == pytest.approx(1 - 0.05 / 3)
-
-    def test_vertex_weights_select_single_task(self):
-        draws = fit_bhm(tiny_table(), config=quick_config())
-        wv = WeightVector(weights=np.array([1.0, 0.0]))
-        est = credible_interval(draws, "B", weights=wv)
-        series = draws.theta[:, 1, 0]
-        assert est.point == pytest.approx(series.mean(), abs=1e-12)
 
     def test_unknown_model_rejected(self):
         draws = fit_bhm(tiny_table(), config=quick_config())

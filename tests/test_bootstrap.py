@@ -10,6 +10,7 @@ from benchuq.bootstrap import (
     IntervalEstimate,
     ReplicateStore,
     aggregate_interval,
+    bootstrap_bounds,
     pairwise_difference_intervals,
     percentile_interval,
     run_bootstrap,
@@ -204,6 +205,17 @@ class TestRunBootstrap:
     def test_invalid_b_rejected(self):
         with pytest.raises(ValidationError, match=">= 1"):
             run_bootstrap(sim_study_table(), B=0)
+        with pytest.raises(ValidationError, match=">= 1"):
+            bootstrap_bounds(sim_study_table(), B=0)
+
+    def test_streamed_bounds_equal_the_store_bounds(self):
+        # B = 130 cuts the third block; no store is built for the bounds.
+        table = table_of([[60, 150, 20], [70, 140, 30]], [100, 200, 50])
+        expected = estimate_bounds(run_bootstrap(table, B=130, seed=6))
+        bounds = bootstrap_bounds(table, B=130, seed=6)
+        assert bounds.tasks == expected.tasks
+        assert np.array_equal(bounds.low, expected.low)
+        assert np.array_equal(bounds.high, expected.high)
 
     def test_store_rejects_out_of_range_accuracies(self):
         # Accuracies outside [0, 1] are counts outside [0, N_j].

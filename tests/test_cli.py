@@ -16,6 +16,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import benchuq
@@ -24,6 +25,7 @@ import benchuq.cli as cli
 import benchuq.ranking as ranking_mod
 from benchuq.bhm import DEFAULT_PRIOR_RATE, McmcConfig
 from benchuq.bootstrap import run_bootstrap
+from benchuq.core import EvalTable, TaskSpec
 from benchuq.errors import ConvergenceWarning
 from benchuq.normalize import estimate_bounds
 from benchuq.cli import (
@@ -593,6 +595,60 @@ def test_bhm_subcommand_outputs(tmp_path, capsys):
         assert lo_a < hi_a and lo_b < hi_b
 
 
+# K = 2 chunks + 3 draws per chain: the last chunk of each chain is short.
+CHUNKED_MCMC = ["--iterations", str(2 * bhm_mod._CHUNK + 103), "--burn-in", "100",
+                "--thinning", "1", "--chains", "2"]
+
+
+@pytest.mark.filterwarnings("ignore::benchuq.errors.ConvergenceWarning")
+def test_report_bhm_column_equals_intervals_of_the_stacked_fit():
+    args = build_parser()[0].parse_args(["report", *CHUNKED_MCMC])
+    table = benchuq.load_vtab()
+    column, diagnostics = cli._bhm_column(table, args)
+    draws = bhm_mod.fit_bhm(table, priors=bhm_mod.PriorSpec.exponential(args.prior_rate),
+                            config=cli._mcmc_config(args))
+    assert column == {m: bhm_mod.credible_interval(draws, m, level=args.level)
+                      for m in table.models}
+    assert diagnostics == draws.diagnostics
+
+
+@pytest.mark.filterwarnings("ignore::benchuq.errors.ConvergenceWarning")
+def test_simstudy_bhm_interval_equals_the_stacked_fit(tmp_path, capsys):
+    argv = ["simstudy", *CHUNKED_MCMC, *FAST_BOOT, "--formats", "json",
+            "--out-dir", str(tmp_path)]
+    assert run(argv) in (EXIT_OK, EXIT_COMPUTE)  # a short fit may miss the targets
+    payload = json.loads((tmp_path / "simstudy.json").read_text())
+    config = McmcConfig(2 * bhm_mod._CHUNK + 103, 100, 1, 2, 0)
+    draws = bhm_mod.fit_bhm(simulation_study_table(), priors=SIMSTUDY_PRIORS, config=config)
+    expected = bhm_mod.credible_interval(draws, "A", other="B", level=0.95)
+    assert payload["bhm"] == cli.rpt.interval_dict(expected)
+    assert payload["diagnostics"] == json.loads(json.dumps(draws.diagnostics))
+
+
+@pytest.mark.filterwarnings("ignore::benchuq.errors.ConvergenceWarning")
+def test_cli_bhm_path_holds_no_theta():
+    # 2 chains x 8,000 draws of 4 models x 60 tasks: theta would take 30 MiB.
+    gen = np.random.default_rng(2)
+    sizes = gen.integers(100, 5_000, size=60)
+    table = EvalTable(
+        models=tuple(f"m{i}" for i in range(4)),
+        tasks=tuple(TaskSpec(f"t{j}", "c", int(n)) for j, n in enumerate(sizes)),
+        counts=gen.binomial(sizes, gen.uniform(0.3, 0.9, size=(4, 60))),
+    )
+    args = build_parser()[0].parse_args(
+        ["bhm", "--iterations", "8000", "--burn-in", "0", "--thinning", "1", "--chains", "2"])
+    theta_bytes = 2 * 8_000 * 4 * 60 * 8
+    tracemalloc.start()
+    try:
+        column, _ = cli._bhm_column(table, args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(column) == 4
+    assert theta_bytes >= 16 * 2**20
+    assert peak < theta_bytes / 4
+
+
 @pytest.mark.parametrize("strict", [True, False])
 @pytest.mark.parametrize("command", ["bhm", "report"])
 def test_strict_turns_convergence_warning_into_exit_3(tmp_path, capsys, command, strict):
@@ -827,7 +883,7 @@ def test_simplex_frees_the_store_before_its_scans(tmp_path, monkeypatch):
     store_bytes = TRACED_B * 16 * 19 * run_bootstrap(benchuq.load_vtab(), B=1).counts.itemsize
     assert len(held) == 4
     assert max(held) < store_bytes
-    assert peak < 2 * store_bytes
+    assert peak < store_bytes  # the bounds come block by block, from no store
 
 
 def test_traced_layers_are_cli_attributes():

@@ -50,6 +50,8 @@ COMMANDS = (
                     f"--eval {WIDE}/counts.csv --tasks {WIDE}/tasks.csv"),
     ("wide-simplex", f"simplex --normalized --replicates 1000 --grid-step 0.01 "
                      f"--eval {WIDE}/counts.csv --tasks {WIDE}/tasks.csv"),
+    # The default 2,000 draws per chain span several theta chunks.
+    ("wide-bhm", f"bhm --eval {WIDE}/counts.csv --tasks {WIDE}/tasks.csv"),
     ("bootstrap-raw", "bootstrap --replicates 1000"),
     ("ranks-noise", "ranks --scheme average-rank-noise --replicates 1000"),
     ("simplex-setting", "simplex --z 1.5 --rho 0.25"),
